@@ -1,9 +1,8 @@
 """Command-line frontend.
 
-Subcommands: gen, verify {commute|leading}, aut, proj, oracle, report,
-bench.  All JSON uses the canonical polynomial schema; exit codes are
-0 all pass, 1 any fail, 2 unresolved outcomes present (no fails), 64 usage
-error.
+Subcommands: gen, verify {commute|leading}, aut, proj, oracle, report.
+All JSON uses the canonical polynomial schema; exit codes are 0 all pass,
+1 any fail, 2 unresolved outcomes present (no fails), 64 usage error.
 """
 
 from __future__ import annotations
@@ -95,10 +94,7 @@ def cmd_aut(args) -> int:
 
 def cmd_proj(args) -> int:
     family = args.family.lower()
-    if family in ("bsqrt2", "gsqrt3"):
-        m = half_fold(family)
-    else:
-        m = fold_xy(family, args.n)
+    m = _get_map(family, args.n, "xy")
     h = projective.homogenize_map(m)
     rep = projective.indeterminacy(h)
     _emit(
@@ -140,13 +136,6 @@ def cmd_report(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"[{report.suite}] {len(report.cases)} cases in {elapsed:.1f}s", file=sys.stderr)
     return _finish_report(report, args.format)
-
-
-def cmd_bench(args) -> int:
-    from .bench import run_bench
-
-    run_bench(args.repeat)
-    return 0
 
 
 def _finish_report(report, fmt: str) -> int:
@@ -205,10 +194,6 @@ def build_parser() -> _Parser:
     r.add_argument("--suite", choices=suites.SUITE_NAMES + ("all",), default="all")
     add_common(r)
     r.set_defaults(func=cmd_report)
-
-    b = sub.add_parser("bench", help="compare kernel backends")
-    b.add_argument("--repeat", type=int, default=3)
-    b.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials over Q(zeta_12) and planar polynomial maps.
 
 A Poly is an ordered variable context plus a dict mapping exponent tuples to
-nonzero coefficients.  Coefficients are plain ints / rationals whenever they
+nonzero coefficients.  Coefficients are plain ints / Fractions whenever they
 lie on the rational line and CycloElem otherwise; the two kinds mix freely
-(see cyclo.py).  Values are immutable after construction, so they can be
-shared between threads and memo caches without copying.
+(see cyclo.py), and anything inexact, such as a float, is rejected with
+TypeError.  Values are immutable after construction, so they can be shared
+between threads and memo caches without copying.  Arithmetic runs on the
+term-merge kernels in backend.py; substitution is one recursive Horner
+scheme for every number of variables.
 
 Canonical term order everywhere (printing, JSON, witnesses): graded
 lexicographic with the first context variable major, highest terms first.
@@ -36,6 +39,15 @@ def grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _exact_coef(c):
+    """c in canonical coefficient form; TypeError unless c is exact."""
+    if not (is_rational(c) or isinstance(c, CycloElem)):
+        raise TypeError(
+            f"coefficient {c!r} is not exact: use an int, a Fraction or a CycloElem"
+        )
+    return coef_simplify(c)
+
+
 class Poly:
     __slots__ = ("vars", "terms")
 
@@ -54,7 +66,7 @@ class Poly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coef = coef_simplify(coef)
+            coef = _exact_coef(coef)
             if coef:
                 clean[exps] = coef
         self.terms = clean
@@ -67,7 +79,7 @@ class Poly:
 
     @classmethod
     def constant(cls, vars, value) -> "Poly":
-        value = coef_simplify(value)
+        value = _exact_coef(value)
         vars = tuple(vars)
         if not value:
             return cls.zero(vars)
@@ -163,7 +175,7 @@ class Poly:
         if isinstance(other, Poly):
             self._check_context(other)
             return Poly(self.vars, mul_terms(self.terms, other.terms), _internal=True)
-        other = coef_simplify(other)
+        other = _exact_coef(other)
         if not other:
             return Poly.zero(self.vars)
         return Poly(self.vars, scale_terms(self.terms, other), _internal=True)
@@ -227,10 +239,11 @@ class Poly:
 
         if not self.terms:
             return Poly.zero(target)
-        if len(self.vars) == 2:
-            terms = _subst_bivariate(self.terms, imgs[0].terms, imgs[1].terms, target)
-        else:
-            terms = _subst_generic(self.terms, [p.terms for p in imgs], target)
+        first = imgs[0].terms
+        powers = [{(0,) * len(target): 1}]
+        for _ in range(max(e[0] for e in self.terms)):
+            powers.append(mul_terms(powers[-1], first))
+        terms = _subst(self.terms, [p.terms for p in imgs], powers)
         return Poly(target, terms, _internal=True)
 
     # -- evaluation -----------------------------------------------------------
@@ -238,13 +251,17 @@ class Poly:
     def evaluate(self, values: dict):
         """Exact evaluation; values may be any ring elements (e.g. CycloElem)."""
         order = [values[v] for v in self.vars]
-        powers = [{0: 1} for _ in order]
+        # powers[k][e] = order[k] ** e, filled on demand
+        powers = [[1] for _ in order]
         total = 0
         for exps, coef in self.terms.items():
             prod = coef
             for k, e in enumerate(exps):
                 if e:
-                    prod = prod * _power(powers[k], order[k], e)
+                    table = powers[k]
+                    while len(table) <= e:
+                        table.append(table[-1] * order[k])
+                    prod = prod * table[e]
             total = total + prod
         return total
 
@@ -319,69 +336,29 @@ class Poly:
         return f"Poly({self.vars}, {str(self)})"
 
 
-def _power(memo: dict, base, e: int):
-    got = memo.get(e)
-    if got is None:
-        got = _power(memo, base, e - 1) * base
-        memo[e] = got
-    return got
+def _subst(terms, img_terms, powers):
+    """Recursive Horner over the last variable.
 
-
-def _subst_bivariate(terms, a_terms, b_terms, target):
-    """Shared power table for the first image, Horner over the second."""
-    one = {(0,) * len(target): 1}
-    cols = {}
-    max_i = 0
-    for (i, j), coef in terms.items():
-        cols.setdefault(j, {})[i] = coef
-        if i > max_i:
-            max_i = i
-    powers = [one]
-    for _ in range(max_i):
-        powers.append(mul_terms(powers[-1], a_terms))
-
-    def column(col):
-        acc = {}
-        for i, coef in col.items():
-            acc = add_terms(acc, scale_terms(powers[i], coef))
-        return acc
-
-    degrees = sorted(cols, reverse=True)
-    acc = column(cols[degrees[0]])
-    prev = degrees[0]
-    for j in degrees[1:]:
-        for _ in range(prev - j):
-            acc = mul_terms(acc, b_terms)
-        acc = add_terms(acc, column(cols[j]))
-        prev = j
-    for _ in range(prev):
-        acc = mul_terms(acc, b_terms)
-    return acc
-
-
-def _subst_generic(terms, img_terms, target):
-    """Recursive Horner over the last variable."""
+    img_terms holds one image term dict per remaining variable; powers[i]
+    is the first image to the i-th power, one table shared by every level.
+    """
     if len(img_terms) == 1:
-        one = {(0,) * len(target): 1}
-        powers = [one]
         acc = {}
-        max_e = max(e[0] for e in terms)
-        for _ in range(max_e):
-            powers.append(mul_terms(powers[-1], img_terms[0]))
-        for exps, coef in terms.items():
-            acc = add_terms(acc, scale_terms(powers[exps[0]], coef))
+        for (i,), coef in terms.items():
+            acc = add_terms(acc, scale_terms(powers[i], coef))
         return acc
     slices = {}
     for exps, coef in terms.items():
         slices.setdefault(exps[-1], {})[exps[:-1]] = coef
+    rest = img_terms[:-1]
     last = img_terms[-1]
     degrees = sorted(slices, reverse=True)
-    acc = _subst_generic(slices[degrees[0]], img_terms[:-1], target)
+    acc = _subst(slices[degrees[0]], rest, powers)
     prev = degrees[0]
     for j in degrees[1:]:
         for _ in range(prev - j):
             acc = mul_terms(acc, last)
-        acc = add_terms(acc, _subst_generic(slices[j], img_terms[:-1], target))
+        acc = add_terms(acc, _subst(slices[j], rest, powers))
         prev = j
     for _ in range(prev):
         acc = mul_terms(acc, last)

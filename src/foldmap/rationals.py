@@ -1,35 +1,24 @@
-"""Arbitrary-precision rational backend.
+"""Arbitrary-precision rationals: plain ints and fractions.Fraction.
 
-gmpy2's mpq is roughly six times faster than fractions.Fraction on the
-term-merge workloads that dominate this package, so it is used when
-available.  Everything downstream goes through `rat` / `is_rational`, which
-also accept plain ints: integer coefficients are kept as ints (faster still)
-and only become rationals when a division forces it.
+Everything downstream goes through `rat` / `is_rational`.  Integer
+coefficients are kept as ints (the fast path) and only become Fractions
+when a division forces it; `as_exact` turns an integral Fraction back
+into an int, which is the canonical storage form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    _RAT_TYPES = (int, Fraction, type(_mpq(0)))
-
-    def rat(numerator, denominator=1):
-        return _mpq(numerator, denominator)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpq = None
-    _RAT_TYPES = (int, Fraction)
-
-    def rat(numerator, denominator=1):
-        return Fraction(numerator, denominator)
+def rat(numerator, denominator=1) -> Fraction:
+    """The exact rational numerator/denominator."""
+    return Fraction(numerator, denominator)
 
 
 def is_rational(value) -> bool:
     """True for the plain number types usable as rational scalars."""
-    return isinstance(value, _RAT_TYPES)
+    return isinstance(value, (int, Fraction))
 
 
 def rat_str(value) -> str:

@@ -250,7 +250,13 @@ class ScalingReport:
 
 def check_scaling(tag: str, n: int, trials: int = 100, tol: float = 1e-7,
                   seed: int = 0) -> ScalingReport:
-    """Max residual of Phi(n p) - F_n(Phi(p)) over seeded random points."""
+    """Max residual of Phi(n p) - F_n(Phi(p)) over seeded random points.
+
+    Raises ValueError when trials < 1: with no points checked the oracle
+    would pass vacuously.
+    """
+    if trials < 1:
+        raise ValueError(f"the scaling oracle needs trials >= 1, got {trials}")
     tag = normalize_tag(tag)
     cal = calibrate(tag)
     data = get_system(tag)

@@ -50,6 +50,7 @@ def test_gen_requires_n(capsys):
 def test_usage_error_codes(capsys):
     assert run(capsys, "gen", "--family", "f4", "--n", "1")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
+    assert run(capsys, "bench")[0] == 64  # benchmarks live in perfbench/
 
 
 def test_aut_solve_and_claimed(capsys):
@@ -74,6 +75,17 @@ def test_proj_json(capsys):
         "indeterminacy": [[0, 1, 0]],
         "unresolved_factor_degree": 0,
     }
+
+
+def test_proj_requires_n(capsys):
+    code, out, err = run(capsys, "proj", "--family", "g2")
+    assert code == 64 and "--n" in err and out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_oracle_rejects_nonpositive_trials(capsys, trials):
+    code, out, err = run(capsys, "oracle", "--family", "a2", "--n", "3", "--trials", trials)
+    assert code == 64 and "trials" in err and out == ""
 
 
 def test_oracle_json(capsys):
@@ -129,6 +141,13 @@ def test_run_suite_rejects_unknown_name():
 
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_run_suite_rejects_nonpositive_trials():
+    from foldmap.suites import run_suite
+
+    with pytest.raises(ValueError):
+        run_suite("oracle", {"trials": 0})
 
 
 def test_module_entry_point():

@@ -197,3 +197,40 @@ def test_evaluate():
     p = X**2 - 2 * Y - 4
     assert p.evaluate({"x": 3, "y": 1}) == 3
     assert abs(p.evaluate_complex({"x": 1j, "y": 0}) - (-5 + 0j)) < 1e-12
+
+
+def test_evaluate_high_power():
+    # the power tables are filled iteratively, not one recursion per step
+    p = Poly(("x", "y"), {(1500, 0): 1})
+    assert p.evaluate({"x": 1, "y": 1}) == 1
+    assert p.evaluate({"x": 2, "y": 5}) == 2**1500
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, 1j, "1", None])
+def test_inexact_coefficients_rejected(bad):
+    with pytest.raises(TypeError):
+        Poly(XY_VARS, {(1, 0): bad})
+    with pytest.raises(TypeError):
+        Poly.constant(XY_VARS, bad)
+    with pytest.raises(TypeError):
+        X + bad
+    with pytest.raises(TypeError):
+        X * bad
+
+
+def small_polys(vars, max_exp, max_size):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return st.dictionaries(exps, coeffs, max_size=max_size).map(lambda d: Poly(vars, d))
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 6])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitution_commutes_with_evaluation(nvars, data):
+    src = tuple(f"u{k}" for k in range(nvars))
+    dst = tuple(f"v{k}" for k in range(nvars))
+    p = data.draw(small_polys(src, 3, 6))
+    images = {u: data.draw(small_polys(dst, 2, 3)) for u in src}
+    point = {v: data.draw(st.integers(-3, 3)) for v in dst}
+    at_images = {u: images[u].evaluate(point) for u in src}
+    assert p.substitute(images).evaluate(point) == p.evaluate(at_images)

@@ -108,6 +108,12 @@ def test_scaling_reports_residual_deterministically():
     assert a.max_residual == b.max_residual
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_scaling_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError):
+        check_scaling("a2", 3, trials=trials)
+
+
 def test_point_utilities():
     assert reduce_point((1.25, -0.5)) == (0.25, 0.5)
     assert scale_point((0.25, 0.5), 3) == (0.75, 1.5)
