@@ -360,15 +360,16 @@ def _order_keys(all_keys, priority):
     return sorted(all_keys, key=sort_key)
 
 
-_IDENTITY_IMAGES = {v: Poly.variable(UNKNOWNS, v) for v in UNKNOWNS}
-
-
 def _apply_subs(p: Poly, subs: dict) -> Poly:
-    if not subs or p.is_zero():
-        return p
-    images = dict(_IDENTITY_IMAGES)
-    images.update(subs)
-    return p.substitute(images)
+    """p with every bound unknown replaced by its image.
+
+    Images never contain bound unknowns (_with_sub keeps them reduced), so
+    one substitute_var per binding gives the simultaneous substitution; it
+    returns p itself for each unknown that does not occur.
+    """
+    for var, image in subs.items():
+        p = p.substitute_var(var, image)
+    return p
 
 
 def _reduce_exponents(p: Poly, records: dict) -> Poly:
@@ -411,7 +412,8 @@ def _normalize(p: Poly, records: dict) -> Poly:
             )
     _, lead = p.leading_term()
     if lead != 1:
-        p = p.map_coefficients(lambda co: coef_div(co, lead))
+        inv = coef_div(1, lead)
+        p = p.map_coefficients(lambda co: co * inv)
     return p
 
 

@@ -33,7 +33,13 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _check_n(n: int | None) -> None:
+    if n is not None and n > projective.N_DESK_BOUND:
+        raise ValueError(f"--n {n} exceeds the desk bound {projective.N_DESK_BOUND}")
+
+
 def _get_map(family: str, n: int | None, model: str) -> PolyMap2:
+    _check_n(n)
     family = family.lower()
     if family in ("bsqrt2", "gsqrt3"):
         return half_fold(family)
@@ -61,22 +67,29 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     config = {"seed": args.seed, "jobs": args.jobs}
-    if args.what == "commute":
-        config["commute_max"] = args.max_n or suites.DEFAULTS["commute_max"]
-    elif args.max_n:
-        config.update(
-            leading_max_a=args.max_n,
-            leading_max_b=args.max_n,
-            leading_max_g=args.max_n,
-        )
+    if args.max_n is not None:
+        smallest = suites.SMALLEST_MAX_N[args.what]
+        if args.max_n < smallest:
+            raise ValueError(f"verify {args.what} needs --max-n >= {smallest}, got {args.max_n}")
+        if args.what == "commute":
+            config["commute_max"] = args.max_n
+        else:
+            config.update(
+                leading_max_a=args.max_n,
+                leading_max_b=args.max_n,
+                leading_max_g=args.max_n,
+            )
     report = suites.run_suite(args.what, config)
     if args.family != "all":
         tag = normalize_tag(args.family)
         report.cases = [c for c in report.cases if c.inputs.get("family") == tag]
+        if not report.cases:
+            raise ValueError(f"verify {args.what} has no {tag} case up to this --max-n")
     return _finish_report(report, args.format)
 
 
 def cmd_aut(args) -> int:
+    _check_n(args.n)
     tag = normalize_tag(args.family)
     if args.solve:
         out = automorphism.solve_aut(tag, args.n)
@@ -113,6 +126,7 @@ def cmd_proj(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_n(args.n)
     tag = normalize_tag(args.family)
     r = weyl.check_scaling(tag, args.n, trials=args.trials, tol=args.tol, seed=args.seed)
     _emit(

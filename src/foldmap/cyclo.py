@@ -295,7 +295,8 @@ def coef_div(a, b):
 
 
 def coef_simplify(c):
-    """Collapse a CycloElem that happens to be rational to its plain form."""
-    if isinstance(c, CycloElem) and c.is_rational():
-        return c.c[0]
-    return c
+    """Canonical form: a rational CycloElem becomes its plain value and an
+    integral Fraction becomes an int."""
+    if isinstance(c, CycloElem):
+        return c.c[0] if c.is_rational() else c
+    return as_exact(c)

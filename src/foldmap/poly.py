@@ -6,8 +6,13 @@ lie on the rational line and CycloElem otherwise; the two kinds mix freely
 (see cyclo.py), and anything inexact, such as a float, is rejected with
 TypeError.  Values are immutable after construction, so they can be shared
 between threads and memo caches without copying.  Arithmetic runs on the
-term-merge kernels in backend.py; substitution is one recursive Horner
-scheme for every number of variables.
+term-merge kernels in backend.py.  Substitution comes in two shapes:
+`substitute` maps every context variable to an image, possibly in a new
+context (one recursive Horner scheme for every number of variables), and
+`substitute_var` replaces one variable within the same context and leaves
+a polynomial that does not contain it untouched.  Ring operations and both
+substitutions return coefficients in canonical form: a CycloElem whose
+value is rational is stored as the plain int or Fraction.
 
 Canonical term order everywhere (printing, JSON, witnesses): graded
 lexicographic with the first context variable major, highest terms first.
@@ -37,6 +42,16 @@ Monomial = tuple
 def grlex_key(exps):
     """Sort key for graded-lex order, first variable major."""
     return (sum(exps), exps)
+
+
+def _canonical(terms):
+    """Collapse rational-valued CycloElem coefficients of terms in place."""
+    # the type scan runs in C; the loop only runs when a CycloElem is present
+    if CycloElem in set(map(type, terms.values())):
+        for e, c in terms.items():
+            if type(c) is CycloElem and c.is_rational():
+                terms[e] = c.c[0]
+    return terms
 
 
 def _exact_coef(c):
@@ -152,7 +167,9 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check_context(other)
-            return Poly(self.vars, add_terms(self.terms, other.terms), _internal=True)
+            return Poly(
+                self.vars, _canonical(add_terms(self.terms, other.terms)), _internal=True
+            )
         return self + Poly.constant(self.vars, other)
 
     __radd__ = __add__
@@ -161,7 +178,7 @@ class Poly:
         if isinstance(other, Poly):
             self._check_context(other)
             return Poly(
-                self.vars, add_terms(self.terms, other.terms, -1), _internal=True
+                self.vars, _canonical(add_terms(self.terms, other.terms, -1)), _internal=True
             )
         return self - Poly.constant(self.vars, other)
 
@@ -174,11 +191,13 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_context(other)
-            return Poly(self.vars, mul_terms(self.terms, other.terms), _internal=True)
+            return Poly(
+                self.vars, _canonical(mul_terms(self.terms, other.terms)), _internal=True
+            )
         other = _exact_coef(other)
         if not other:
             return Poly.zero(self.vars)
-        return Poly(self.vars, scale_terms(self.terms, other), _internal=True)
+        return Poly(self.vars, _canonical(scale_terms(self.terms, other)), _internal=True)
 
     __rmul__ = __mul__
 
@@ -206,7 +225,7 @@ class Poly:
     def map_coefficients(self, fn) -> "Poly":
         out = {}
         for e, c in self.terms.items():
-            c = coef_simplify(fn(c))
+            c = _exact_coef(fn(c))
             if c:
                 out[e] = c
         return Poly(self.vars, out, _internal=True)
@@ -244,7 +263,36 @@ class Poly:
         for _ in range(max(e[0] for e in self.terms)):
             powers.append(mul_terms(powers[-1], first))
         terms = _subst(self.terms, [p.terms for p in imgs], powers)
-        return Poly(target, terms, _internal=True)
+        return Poly(target, _canonical(terms), _internal=True)
+
+    def substitute_var(self, name, image) -> "Poly":
+        """Replace the single variable `name` by image, in the same context.
+
+        image is a Poly over this context or a scalar.  Returns self when
+        the variable does not occur; otherwise sums slice_j * image^j over
+        the exponents j of the variable.
+        """
+        k = self.vars.index(name)
+        if isinstance(image, Poly):
+            self._check_context(image)
+        else:
+            image = Poly.constant(self.vars, image)
+        if not any(exps[k] for exps in self.terms):
+            return self
+        slices = {}
+        for exps, coef in self.terms.items():
+            slices.setdefault(exps[k], {})[exps[:k] + (0,) + exps[k + 1 :]] = coef
+        acc = slices.pop(0, {})
+        if not image.terms:
+            return Poly(self.vars, acc, _internal=True)
+        power = image.terms
+        done = 1
+        for j in sorted(slices):
+            for _ in range(j - done):
+                power = mul_terms(power, image.terms)
+            done = j
+            acc = add_terms(acc, mul_terms(slices[j], power))
+        return Poly(self.vars, _canonical(acc), _internal=True)
 
     # -- evaluation -----------------------------------------------------------
 

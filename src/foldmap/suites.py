@@ -24,6 +24,10 @@ from .reports import FAIL, PASS, UNRESOLVED, CaseRecord, VerificationReport
 
 SUITE_NAMES = ("commute", "leading", "aut", "proj", "oracle")
 
+# Smallest --max-n each verify suite accepts: the n its case ladder starts
+# from (commute pairs F_m, F_n with 2 <= m <= n; leading from g2 n = 1).
+SMALLEST_MAX_N = {"commute": 2, "leading": 1}
+
 DEFAULTS = {
     "commute_max": 6,
     "leading_max_a": 40,

@@ -1,8 +1,12 @@
 """Automorphism membership, claimed groups, and the elimination solver."""
 
+import json
+
 import pytest
 
+from foldmap import automorphism
 from foldmap.automorphism import (
+    UNKNOWNS,
     AffineMap2,
     claimed_group,
     collect_constraints,
@@ -11,7 +15,7 @@ from foldmap.automorphism import (
 )
 from foldmap.cyclo import CycloElem, SQRT3
 from foldmap.folding import fold
-from foldmap.poly import XY, ZW
+from foldmap.poly import XY, ZW, Poly
 from foldmap.rationals import rat
 
 ZETA3 = CycloElem.zeta_pow(4)
@@ -205,6 +209,27 @@ def test_solver_is_deterministic():
     a = solve_aut("a2", 4).solutions.to_json_obj()
     b = solve_aut("a2", 4).solutions.to_json_obj()
     assert a == b
+
+
+def _full_substitution(p, subs):
+    """Reference rewrite: one simultaneous substitution of every unknown."""
+    if not subs:
+        return p
+    images = {v: subs.get(v, Poly.variable(UNKNOWNS, v)) for v in UNKNOWNS}
+    return p.substitute(images)
+
+
+@pytest.mark.parametrize(
+    "tag,n", [("a2", 4), ("a2", 7), ("b2", 5), ("b2", 6), ("g2", 5), ("g2", 6)]
+)
+def test_solver_matches_full_substitution(monkeypatch, tag, n):
+    fast = solve_aut(tag, n)
+    monkeypatch.setattr(automorphism, "_apply_subs", _full_substitution)
+    reference = solve_aut(tag, n)
+    assert json.dumps(fast.solutions.to_json_obj()) == json.dumps(
+        reference.solutions.to_json_obj()
+    )
+    assert fast.unresolved == reference.unresolved
 
 
 def test_constraint_collection_shape():

@@ -7,6 +7,7 @@ import pytest
 from foldmap.cli import main
 from foldmap.folding import fold, half_fold
 from foldmap.poly import PolyMap2
+from foldmap.projective import N_DESK_BOUND
 
 
 def run(capsys, *argv):
@@ -113,6 +114,43 @@ def test_verify_leading_family_filter(capsys):
     assert code == 0
     obj = json.loads(out)
     assert all(c["inputs"]["family"] == "b2" for c in obj["cases"])
+
+
+@pytest.mark.parametrize(
+    "what,max_n,smallest",
+    [("commute", "0", 2), ("commute", "1", 2), ("leading", "0", 1), ("leading", "-2", 1)],
+)
+def test_verify_rejects_max_n_below_suite_start(capsys, what, max_n, smallest):
+    code, out, err = run(capsys, "verify", what, "--max-n", max_n)
+    assert code == 64 and out == ""
+    assert f"--max-n >= {smallest}" in err
+
+
+def test_verify_rejects_empty_family_selection(capsys):
+    code, out, err = run(capsys, "verify", "leading", "--family", "a2", "--max-n", "1")
+    assert code == 64 and out == "" and "no a2 case" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "a2", "--n", "201"),
+        ("proj", "--family", "g2", "--n", "1000"),
+        ("aut", "--family", "g2", "--n", "201", "--solve"),
+        ("aut", "--family", "b2", "--n", "700", "--claimed"),
+        ("oracle", "--family", "a2", "--n", "500"),
+    ],
+)
+def test_n_above_desk_bound_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert f"desk bound {N_DESK_BOUND}" in err
+
+
+def test_desk_bound_admits_benchmark_sizes(capsys):
+    assert N_DESK_BOUND >= 200
+    code, out, _ = run(capsys, "aut", "--family", "a2", "--n", str(N_DESK_BOUND), "--claimed")
+    assert code == 0 and json.loads(out)["order"] == 2
 
 
 def test_report_reproducible(capsys):

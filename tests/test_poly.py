@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic, substitution, and the coordinate models."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,3 +235,81 @@ def test_substitution_commutes_with_evaluation(nvars, data):
     point = {v: data.draw(st.integers(-3, 3)) for v in dst}
     at_images = {u: images[u].evaluate(point) for u in src}
     assert p.substitute(images).evaluate(point) == p.evaluate(at_images)
+
+
+def test_rational_cyclo_products_print_plainly():
+    # zeta^6 = -1: the product's coefficient is stored as the int -1
+    p = (CycloElem.zeta_pow(1) * X) ** 6
+    assert p.terms == {(6, 0): -1} and type(p.terms[(6, 0)]) is int
+    assert str(p) == "-x^6"
+    assert p.to_latex() == "-x^6"
+    assert str(I_UNIT * X * (I_UNIT * Y) + X) == "-x*y + x"
+
+
+cyclo_coeffs = st.one_of(
+    coeffs,
+    st.builds(lambda k, c: CycloElem.zeta_pow(k) * c, st.integers(0, 11), coeffs),
+    st.builds(lambda k, c: CycloElem.zeta_pow(k) * Fraction(c, 2), st.integers(0, 11), coeffs),
+)
+
+
+def cyclo_polys(vars, max_exp, max_size):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return st.dictionaries(exps, cyclo_coeffs, max_size=max_size).map(lambda d: Poly(vars, d))
+
+
+def has_rational_cyclo(p):
+    return any(isinstance(c, CycloElem) and c.is_rational() for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclo_polys(XY_VARS, 3, 5), cyclo_polys(XY_VARS, 3, 5), cyclo_coeffs)
+def test_ring_operations_keep_canonical_coefficients(p, q, s):
+    results = [
+        p + q, p - q, p * q, p * s, s * p, p + s, s - p, -p, p**3,
+        p.substitute({"x": q, "y": p + s}),
+        p.substitute_var("x", q),
+        p.substitute_var("y", s),
+    ]
+    assert not any(has_rational_cyclo(r) for r in results)
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 6])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substitute_var_matches_full_substitution(nvars, data):
+    vars = tuple(f"u{k}" for k in range(nvars))
+    p = data.draw(cyclo_polys(vars, 3, 6))
+    k = data.draw(st.integers(0, nvars - 1))
+    name = vars[k]
+    if data.draw(st.booleans()):
+        p = Poly(vars, {e: c for e, c in p.terms.items() if e[k] == 0})
+    image = data.draw(
+        st.one_of(
+            cyclo_polys(vars, 2, 3),
+            cyclo_coeffs,
+            cyclo_coeffs.map(lambda c: Poly.constant(vars, c)),
+        )
+    )
+    images = {v: Poly.variable(vars, v) for v in vars}
+    images[name] = image
+    got = p.substitute_var(name, image)
+    assert got == p.substitute(images)
+    if all(e[k] == 0 for e in p.terms):
+        assert got is p
+
+
+def test_substitute_var_edge_cases():
+    p = X**3 * Y + 2 * X + Y**2 - 5
+    assert p.substitute_var("x", 0) == Y**2 - 5
+    assert p.substitute_var("x", Poly.zero(XY_VARS)) == Y**2 - 5
+    assert p.substitute_var("x", 2) == 8 * Y + Y**2 - 1
+    assert p.substitute_var("y", X) == X**4 + X**2 + 2 * X - 5
+    q = Y**2 + 1
+    assert q.substitute_var("x", X + Y) is q
+    zero = Poly.zero(XY_VARS)
+    assert zero.substitute_var("y", X) is zero
+    with pytest.raises(ValueError):
+        p.substitute_var("x", Z)  # image from another context
+    with pytest.raises(ValueError):
+        p.substitute_var("z", X)  # not a context variable
