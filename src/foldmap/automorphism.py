@@ -1,15 +1,15 @@
 """Affine automorphisms of the folding maps.
 
 is_member checks phi o F = F o phi exactly; claimed_group builds the
-published solution sets; solve_aut recovers them from scratch with a guided
-constraint-elimination engine that mechanizes the coefficient ladders of the
-published proofs.
+published solution sets; solve_aut recovers them from scratch with a
+constraint-elimination engine.
 
 The engine works on the commutator D = phi o F - F o phi, expanded in an
 eight-variable ring (the two plane variables plus six unknown affine
 coefficients).  Each plane monomial's coefficient is one constraint
-polynomial in the six unknowns.  Constraints are consumed in a per-family
-priority order mirroring the proofs, under four rewrite rules:
+polynomial in the six unknowns.  Constraints are consumed in one
+family-agnostic order (fewest terms, then lowest degree first; see
+_constraint_order) under four rewrite rules:
 
   R1  a monomial constraint branches on its variables vanishing;
   R2  a constraint linear in one unknown whose leading coefficient is a unit
@@ -25,7 +25,9 @@ monomial factors are cancelled.  When no rule applies, a recorded unknown
 with order dividing 12 is enumerated over the exact roots of unity in
 Q(zeta_12); a stall with any other order is reported as unresolved rather
 than guessed at.  Every concrete branch solution is certified against the
-original constraint system before it is returned.
+original constraint system before it is returned.  The constraint order
+decides how fast the search finishes, and whether it does within the depth
+cap, but not the solution set of a complete run.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .cyclo import (
     unity_order,
 )
 from .folding import compose, fold, normalize_tag
-from .poly import XY, ZW, Poly, PolyMap2, grlex_key
+from .poly import XY, ZW, ZW_VARS, Poly, PolyMap2, grlex_key, zw_to_xy
 from .rationals import rat, rat_str
 
 UNKNOWNS = ("a", "b", "c", "d", "e", "f")
@@ -125,30 +127,15 @@ class AffineMap2:
         """Change of basis z = x + iy for a ZW map preserving the real locus.
 
         Requires (d, e, f) = (conj b, conj a, conj c), i.e. the second
-        component is the conjugate of the first under the variable swap.
+        component is the conjugate of the first under the variable swap;
+        raises ValueError (poly.RealFormError) otherwise.
         """
-        if self.model != ZW:
-            raise ValueError("zw_to_xy needs a ZW-model affine map")
-        a, b, c, d, e, f = (CycloElem.from_coef(v) for v in self.coeffs)
-        if (d, e, f) != (b.conj(), a.conj(), c.conj()):
-            raise ValueError("affine map does not preserve the real locus")
-        half = CycloElem(rat(1, 2))
-        i_unit = CycloElem.zeta_pow(3)
-
-        def re(q):
-            return (q + q.conj()) * half
-
-        def im(q):
-            return (q - q.conj()) * half * (-i_unit)
-
+        real = zw_to_xy(self.as_polymap(ZW_VARS))
         return AffineMap2(
-            (
-                re(a + b),
-                re(i_unit * (a - b)),
-                re(c),
-                im(a + b),
-                im(i_unit * (a - b)),
-                im(c),
+            tuple(
+                comp.coeff(exps)
+                for comp in (real.first, real.second)
+                for exps in ((1, 0), (0, 1), (0, 0))
             ),
             XY,
         )
@@ -255,7 +242,7 @@ def claimed_group(tag: str, n: int) -> SolutionSet:
 class ConstraintState:
     """One branch of the elimination search."""
 
-    constraints: list          # list of (key, Poly over UNKNOWNS)
+    constraints: list          # Polys over UNKNOWNS
     subs: dict                 # unknown -> Poly (current image)
     records: dict              # unknown -> g with unknown^g = 1 known
     depth: int = 0
@@ -303,61 +290,11 @@ def collect_constraints(fmap: PolyMap2) -> dict:
     return {key: Poly(UNKNOWNS, terms, _internal=True) for key, terms in buckets.items()}
 
 
-def _priority_list(tag: str, n: int):
-    """Plane monomials to consume first, mirroring the published ladders."""
-    if tag == "b2":
-        keys = [
-            (1, (1, n - 1)),
-            (1, (2, n - 2)),
-            (1, (n, 0)),
-            (1, (n - 1, 0)),
-            (1, (n - 2, 1)),
-            (1, (n - 3, 1)),
-            (1, (n - 2, 0)),
-            (2, (2, n - 2)),
-        ]
-    elif tag == "a2":
-        keys = [(1, (n, 0)), (1, (0, n))]
-        keys += [(1, (i, n - i)) for i in range(n - 1, 0, -1)]
-        keys += [(1, (n - 1, 0)), (1, (n - 2, 1))]
-        keys += [(2, (0, n)), (2, (n, 0))]
-        keys += [(2, (i, n - i)) for i in range(1, n)]
-        keys += [(2, (0, n - 1)), (2, (1, n - 2))]
-    else:
-        if n % 2 == 0:
-            top = (3 * n // 2, 0)
-            tail = [(2, (3 * n // 2, 0))]
-        else:
-            k = (n - 1) // 2
-            top = (3 * k, 1)
-            tail = [(2, (3 * k + 1, 0)), (2, (3 * k, 1))]
-        keys = [
-            (1, top),
-            (1, (n, 0)),
-            (1, (n - 1, 0)),
-            (1, (n - 2, 1)),
-            (1, (n - 3, 1)),
-            (1, (n - 2, 0)),
-        ] + tail
-    seen = set()
-    out = []
-    for key in keys:
-        if min(key[1]) < 0 or key in seen:
-            continue
-        seen.add(key)
-        out.append(key)
-    return out
-
-
-def _order_keys(all_keys, priority):
-    rank = {key: i for i, key in enumerate(priority)}
-    big = len(priority)
-
-    def sort_key(key):
-        component, exps = key
-        return (rank.get(key, big), component, -sum(exps), tuple(-e for e in exps))
-
-    return sorted(all_keys, key=sort_key)
+def _constraint_order(item):
+    """Sort key for (plane key, constraint): fewest terms, then lowest degree
+    first; ties go to the higher plane monomial."""
+    (component, exps), p = item
+    return (len(p.terms), p.degree(), component, -sum(exps), tuple(-e for e in exps))
 
 
 def _apply_subs(p: Poly, subs: dict) -> Poly:
@@ -391,15 +328,18 @@ def _reduce_exponents(p: Poly, records: dict) -> Poly:
     return Poly(UNKNOWNS, {e: c for e, c in terms.items() if c}, _internal=True)
 
 
+def _content(p: Poly) -> list:
+    """Exponents of the monomial content: the least exponent of each unknown."""
+    return [min(col) for col in zip(*p.terms)]
+
+
 def _normalize(p: Poly, records: dict) -> Poly:
     """Exponent reduction, unit-content cancellation, monic scaling."""
     p = _reduce_exponents(p, records)
     if p.is_zero():
         return p
     if records:
-        mins = None
-        for exps in p.terms:
-            mins = list(exps) if mins is None else [min(m, e) for m, e in zip(mins, exps)]
+        mins = _content(p)
         shift = [0] * len(UNKNOWNS)
         for v in records:
             k = UNKNOWNS.index(v)
@@ -470,21 +410,16 @@ def _as_power_equation(p: Poly):
 
 
 class _Engine:
-    def __init__(self, fmap: PolyMap2, priority, depth_cap: int):
+    def __init__(self, fmap: PolyMap2, depth_cap: int):
         self.original = collect_constraints(fmap)
-        self.keys = _order_keys(self.original.keys(), priority)
         self.depth_cap = depth_cap
         self.model = fmap.model
         self.solutions = []
         self.unresolved = []
-        self._synthetic = 0
 
     def initial_state(self) -> ConstraintState:
-        return ConstraintState(
-            constraints=[(key, self.original[key]) for key in self.keys],
-            subs={},
-            records={},
-        )
+        ordered = sorted(self.original.items(), key=_constraint_order)
+        return ConstraintState(constraints=[p for _, p in ordered], subs={}, records={})
 
     def run(self):
         stack = [self.initial_state()]
@@ -512,10 +447,7 @@ class _Engine:
         if var in records:
             g = records.pop(var)
             # the record var^g = 1 must survive the substitution
-            self._synthetic += 1
-            constraints.append(
-                ((0, ("record", var, self._synthetic)), image**g - 1)
-            )
+            constraints.append(image**g - 1)
         return ConstraintState(constraints, subs, records, state.depth)
 
     def _det_poly(self, subs: dict) -> Poly:
@@ -530,7 +462,7 @@ class _Engine:
         while True:
             live = []
             seen = set()
-            for key, p in state.constraints:
+            for p in state.constraints:
                 q = _apply_subs(p, state.subs)
                 if q.is_zero():
                     continue
@@ -543,7 +475,7 @@ class _Engine:
                 if sig in seen:
                     continue
                 seen.add(sig)
-                live.append((key, q))
+                live.append(q)
             state.constraints = live
             if self._det_poly(state.subs).is_zero():
                 return None  # determinant forced to vanish identically
@@ -553,17 +485,11 @@ class _Engine:
             kind = action[0]
             if kind == "sub":
                 state = self._with_sub(state, action[1], action[2])
-            elif kind == "drop":
-                state.constraints = [
-                    (k, p) for k, p in state.constraints if k != action[1]
-                ]
             elif kind == "record":
-                _, var, order, drop_key = action
+                _, var, order, spent = action
                 g = gcd(state.records.get(var, 0), order)
-                if drop_key is not None:
-                    state.constraints = [
-                        (k, p) for k, p in state.constraints if k != drop_key
-                    ]
+                if spent is not None:
+                    state.constraints = [p for p in state.constraints if p is not spent]
                 if g == 1:
                     state.records.pop(var, None)
                     state = self._with_sub(state, var, Poly.constant(UNKNOWNS, 1))
@@ -585,10 +511,9 @@ class _Engine:
                     )
                     if br[0] == "set":
                         child = self._with_sub(child, br[1], br[2])
-                    else:  # ("factor", key, cofactor)
+                    else:  # ("factor", constraint, cofactor)
                         child.constraints = [
-                            (k, (br[2] if k == br[1] else p))
-                            for k, p in child.constraints
+                            br[2] if p is br[1] else p for p in child.constraints
                         ]
                     children.append(child)
                 return ("branch", children)
@@ -597,7 +522,7 @@ class _Engine:
 
     def _find_action(self, state: ConstraintState):
         records = state.records
-        for key, p in state.constraints:
+        for p in state.constraints:
             # R3: v^k = root of unity
             shaped = _as_power_equation(p)
             if shaped is not None:
@@ -608,7 +533,7 @@ class _Engine:
                     order = k * rho_order
                     if rho_order == 1:
                         # the record captures the constraint completely
-                        return ("record", var, order, key)
+                        return ("record", var, order, p)
                     if old == 0 or gcd(old, order) != old:
                         # v^k = rho only implies v^(k*ord(rho)) = 1: sharpen
                         # the record but keep the constraint for enumeration
@@ -642,9 +567,7 @@ class _Engine:
                     return None  # unit monomial cannot vanish: dead end
                 return ("branch", branches)
             # R4: strip monomial content
-            mins = None
-            for exps in p.terms:
-                mins = list(exps) if mins is None else [min(m, e) for m, e in zip(mins, exps)]
+            mins = _content(p)
             if any(mins):
                 cofactor = Poly(
                     UNKNOWNS,
@@ -656,7 +579,7 @@ class _Engine:
                     for v, m in zip(UNKNOWNS, mins)
                     if m > 0 and v not in records
                 ]
-                branches.append(("factor", key, cofactor))
+                branches.append(("factor", p, cofactor))
                 return ("branch", branches)
         # quiescent: enumerate a recorded unknown
         for v in UNKNOWNS:
@@ -707,7 +630,7 @@ def _digest(state: ConstraintState) -> dict:
         "depth": state.depth,
         "records": dict(state.records),
         "substituted": sorted(state.subs),
-        "constraints": [str(p) for _, p in state.constraints[:8]],
+        "constraints": [str(p) for p in state.constraints[:8]],
     }
 
 
@@ -722,7 +645,7 @@ def solve_aut(tag: str, n: int, depth_cap: int = 32) -> SolveOutcome:
     if n < 2:
         raise ValueError("solve_aut is defined for n >= 2")
     fmap = fold(tag, n)
-    engine = _Engine(fmap, _priority_list(tag, n), depth_cap)
+    engine = _Engine(fmap, depth_cap)
     engine.run()
     unique = sorted(engine.solutions, key=lambda m: m.sort_key())
     if unique and not engine.unresolved:

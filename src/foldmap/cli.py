@@ -71,6 +71,12 @@ def cmd_verify(args) -> int:
         smallest = suites.SMALLEST_MAX_N[args.what]
         if args.max_n < smallest:
             raise ValueError(f"verify {args.what} needs --max-n >= {smallest}, got {args.max_n}")
+        largest = suites.LARGEST_MAX_N[args.what]
+        if args.max_n > largest:
+            raise ValueError(
+                f"verify {args.what} needs --max-n <= {largest} to stay within "
+                f"the desk bound {projective.N_DESK_BOUND}, got {args.max_n}"
+            )
         if args.what == "commute":
             config["commute_max"] = args.max_n
         else:

@@ -224,26 +224,14 @@ def verify_leading(tag: str, n: int) -> LeadingReport:
 
 def g2_x_slice_mismatch(n: int):
     """First disagreement between the G x-expansion's three braces and the
-    generated coordinate's degree slices; None when all match."""
-    if n < 5:
-        raise ExpansionRangeError("brace check needs n >= 5")
+    generated coordinate's degree slices; None when all match.  Needs
+    n >= 5, like g2_x_check."""
+    predicted = g2_x_check(n).predicted
     xn = fold("g2", n).first
-    braces = {
-        n: Poly(XY_VARS, {(n, 0): 1}),
-        n - 1: Poly(XY_VARS, {(n - 2, 1): -n}),
-        n - 2: Poly(
-            XY_VARS,
-            {
-                (n - 4, 2): _halfint(n * n - 3 * n),
-                (n - 3, 1): -n,
-                (n - 2, 0): -3 * n,
-            },
-        ),
-    }
-    for k in sorted(braces, reverse=True):
-        got = xn.degree_slice(k)
-        if got != braces[k]:
-            return (k, got, braces[k])
+    for k in (n, n - 1, n - 2):
+        got, want = xn.degree_slice(k), predicted.degree_slice(k)
+        if got != want:
+            return (k, got, want)
     return None
 
 

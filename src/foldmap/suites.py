@@ -8,7 +8,9 @@ by key and no wall-clock data enters the payload.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from math import isqrt
 
 from . import automorphism, leading, projective, weyl
 from .folding import (
@@ -27,6 +29,14 @@ SUITE_NAMES = ("commute", "leading", "aut", "proj", "oracle")
 # Smallest --max-n each verify suite accepts: the n its case ladder starts
 # from (commute pairs F_m, F_n with 2 <= m <= n; leading from g2 n = 1).
 SMALLEST_MAX_N = {"commute": 2, "leading": 1}
+
+# Largest --max-n each verify suite accepts: commute composes up to
+# F_{max_n^2} and leading builds F_{max_n}, and both stay within the desk
+# bound on n.
+LARGEST_MAX_N = {
+    "commute": isqrt(projective.N_DESK_BOUND),
+    "leading": projective.N_DESK_BOUND,
+}
 
 DEFAULTS = {
     "commute_max": 6,
@@ -299,15 +309,19 @@ def run_suite(name: str, config: dict | None = None) -> VerificationReport:
     """Run one suite (or 'all'); invalid config raises ValueError."""
     cfg = dict(DEFAULTS)
     cfg.update(config or {})
-    if cfg["trials"] < 1 or cfg["tol"] <= 0 or cfg["jobs"] < 1:
-        raise ValueError("invalid suite configuration")
+    if cfg["jobs"] < 1:
+        raise ValueError(f"the suite needs jobs >= 1, got {cfg['jobs']}")
+    weyl.check_scaling_args(cfg["trials"], cfg["tol"])
     names = SUITE_NAMES if name == "all" else (name,)
     descriptors = []
     for suite in names:
         descriptors.extend(_descriptors(suite, cfg))
     report = VerificationReport(name, cfg)
-    if cfg["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["jobs"]) as pool:
+    # a fork pool starts every worker at the first submit: never ask for
+    # more workers than there are cores or cases
+    workers = min(cfg["jobs"], os.cpu_count() or 1, len(descriptors))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             report.cases = list(pool.map(run_case, descriptors, chunksize=4))
     else:
         report.cases = [run_case(d) for d in descriptors]

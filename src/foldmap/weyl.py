@@ -248,15 +248,25 @@ class ScalingReport:
         return self.max_residual < self.tol
 
 
+def check_scaling_args(trials: int, tol: float) -> None:
+    """Raise ValueError unless trials >= 1 and tol is finite and > 0.
+
+    With no points checked, or with an infinite tolerance, the oracle would
+    pass vacuously; with tol <= 0 or NaN no residual could pass.
+    """
+    if trials < 1:
+        raise ValueError(f"the scaling oracle needs trials >= 1, got {trials}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"the scaling oracle needs a finite tol > 0, got {tol}")
+
+
 def check_scaling(tag: str, n: int, trials: int = 100, tol: float = 1e-7,
                   seed: int = 0) -> ScalingReport:
     """Max residual of Phi(n p) - F_n(Phi(p)) over seeded random points.
 
-    Raises ValueError when trials < 1: with no points checked the oracle
-    would pass vacuously.
+    Raises ValueError for arguments check_scaling_args rejects.
     """
-    if trials < 1:
-        raise ValueError(f"the scaling oracle needs trials >= 1, got {trials}")
+    check_scaling_args(trials, tol)
     tag = normalize_tag(tag)
     cal = calibrate(tag)
     data = get_system(tag)

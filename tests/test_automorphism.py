@@ -1,6 +1,7 @@
 """Automorphism membership, claimed groups, and the elimination solver."""
 
 import json
+import random
 
 import pytest
 
@@ -175,7 +176,7 @@ def test_unresolved_outside_cyclotomic_range():
 
     x6 = Poly(XY_VARS, {(6, 0): 1})
     y6 = Poly(XY_VARS, {(0, 6): 1})
-    engine = _Engine(PolyMap2(x6, y6, XY, "diag6"), [], depth_cap=32)
+    engine = _Engine(PolyMap2(x6, y6, XY, "diag6"), depth_cap=32)
     engine.run()
     assert engine.unresolved
     assert any("order record" in u["reason"] for u in engine.unresolved)
@@ -200,7 +201,7 @@ def test_power_equation_with_nontrivial_root_records():
     constraint = Poly(
         UNKNOWNS, {(2, 0, 0, 0, 0, 0): 1, (0,) * 6: -ZETA3}
     )
-    state = ConstraintState([((1, (0, 0)), constraint)], {}, {})
+    state = ConstraintState([constraint], {}, {})
     action = engine._find_action(state)
     assert action == ("record", "a", 6, None)
 
@@ -230,6 +231,41 @@ def test_solver_matches_full_substitution(monkeypatch, tag, n):
         reference.solutions.to_json_obj()
     )
     assert fast.unresolved == reference.unresolved
+
+
+def _reversed_order(item):
+    """automorphism._constraint_order with every comparison flipped."""
+    (component, exps), p = item
+    return (-len(p.terms), -p.degree(), -component, sum(exps), tuple(exps))
+
+
+def _assert_sound(out, tag, n):
+    """Every returned map is a member and claimed; a complete run is the group."""
+    fmap = fold(tag, n)
+    claimed = claimed_group(tag, n)
+    for m in out.solutions.elements:
+        assert is_member(m, fmap)
+        assert m in claimed.elements
+    if out.complete:
+        assert out.solutions.elements == claimed.elements
+        assert out.solutions.label == claimed.label
+
+
+@pytest.mark.parametrize("tag,n", [("a2", 4), ("b2", 5)])
+def test_solver_is_sound_under_reversed_order(monkeypatch, tag, n):
+    monkeypatch.setattr(automorphism, "_constraint_order", _reversed_order)
+    out = solve_aut(tag, n)
+    assert out.complete
+    _assert_sound(out, tag, n)
+
+
+def test_solver_is_sound_under_shuffled_order(monkeypatch):
+    rng = random.Random(26)
+    monkeypatch.setattr(automorphism, "_constraint_order", lambda item: rng.random())
+    out = solve_aut("b2", 6)
+    # this shuffle hits the depth cap, so a partial outcome is checked too
+    assert out.unresolved and out.solutions.label == "incomplete"
+    _assert_sound(out, "b2", 6)
 
 
 def test_constraint_collection_shape():

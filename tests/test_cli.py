@@ -89,6 +89,12 @@ def test_oracle_rejects_nonpositive_trials(capsys, trials):
     assert code == 64 and "trials" in err and out == ""
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_oracle_rejects_unusable_tol(capsys, tol):
+    code, out, err = run(capsys, "oracle", "--family", "a2", "--n", "3", "--tol", tol)
+    assert code == 64 and "tol" in err and out == ""
+
+
 def test_oracle_json(capsys):
     code, out, _ = run(
         capsys, "oracle", "--family", "a2", "--n", "3",
@@ -124,6 +130,22 @@ def test_verify_rejects_max_n_below_suite_start(capsys, what, max_n, smallest):
     code, out, err = run(capsys, "verify", what, "--max-n", max_n)
     assert code == 64 and out == ""
     assert f"--max-n >= {smallest}" in err
+
+
+@pytest.mark.parametrize("what,max_n", [("commute", "15"), ("leading", "201")])
+def test_verify_rejects_max_n_above_desk_bound(capsys, what, max_n):
+    code, out, err = run(capsys, "verify", what, "--max-n", max_n)
+    assert code == 64 and out == ""
+    assert f"desk bound {N_DESK_BOUND}" in err
+
+
+def test_verify_max_n_bounds_follow_desk_bound():
+    from foldmap.suites import LARGEST_MAX_N
+
+    top = LARGEST_MAX_N["commute"]
+    assert top**2 <= N_DESK_BOUND < (top + 1) ** 2
+    assert LARGEST_MAX_N["leading"] == N_DESK_BOUND
+    assert top >= 8  # the benchmark runs verify commute --max-n 8
 
 
 def test_verify_rejects_empty_family_selection(capsys):
@@ -186,6 +208,43 @@ def test_run_suite_rejects_nonpositive_trials():
 
     with pytest.raises(ValueError):
         run_suite("oracle", {"trials": 0})
+
+
+@pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+def test_run_suite_rejects_unusable_tol(tol):
+    from foldmap.suites import run_suite
+
+    with pytest.raises(ValueError):
+        run_suite("proj", {"tol": tol})
+
+
+@pytest.mark.parametrize("cpus", [4, 64, 1, None])
+def test_run_suite_caps_pool_workers(monkeypatch, cpus):
+    """--jobs is capped by the cores and the cases; one worker runs serially."""
+    from foldmap import suites
+
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+    cases = len(suites._descriptors("proj", suites.DEFAULTS))
+    report = suites.run_suite("proj", {"jobs": 100000})
+    assert created == {4: [4], 64: [cases], 1: [], None: []}[cpus]
+    assert report.config["jobs"] == 100000
+    assert report.exit_code == 0 and len(report.cases) == cases
 
 
 def test_module_entry_point():

@@ -114,6 +114,12 @@ def test_scaling_rejects_nonpositive_trials(trials):
         check_scaling("a2", 3, trials=trials)
 
 
+@pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+def test_scaling_rejects_unusable_tol(tol):
+    with pytest.raises(ValueError):
+        check_scaling("a2", 3, trials=5, tol=tol)
+
+
 def test_point_utilities():
     assert reduce_point((1.25, -0.5)) == (0.25, 0.5)
     assert scale_point((0.25, 0.5), 3) == (0.75, 1.5)
