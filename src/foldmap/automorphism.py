@@ -4,12 +4,13 @@ is_member checks phi o F = F o phi exactly; claimed_group builds the
 published solution sets; solve_aut recovers them from scratch with a
 constraint-elimination engine.
 
-The engine works on the commutator D = phi o F - F o phi, expanded in an
-eight-variable ring (the two plane variables plus six unknown affine
-coefficients).  Each plane monomial's coefficient is one constraint
-polynomial in the six unknowns.  Constraints are consumed in one
-family-agnostic order (fewest terms, then lowest degree first; see
-_constraint_order) under four rewrite rules:
+The engine works on the leading constraints of the commutator
+phi o F - F o phi: the coefficient of each plane monomial of degree >= D - 2,
+where D is the degree of F, as a polynomial in the six unknown affine
+coefficients.  For affine phi these depend only on F's three leading slices
+(see collect_constraints), so they are a subset of the exact system.
+Constraints are consumed in one family-agnostic order (fewest terms, then
+lowest degree first; see _constraint_order) under four rewrite rules:
 
   R1  a monomial constraint branches on its variables vanishing;
   R2  a constraint linear in one unknown whose leading coefficient is a unit
@@ -24,16 +25,17 @@ of recorded unknowns are reduced mod the recorded order, and recorded-unit
 monomial factors are cancelled.  When no rule applies, a recorded unknown
 with order dividing 12 is enumerated over the exact roots of unity in
 Q(zeta_12); a stall with any other order is reported as unresolved rather
-than guessed at.  Every concrete branch solution is certified against the
-original constraint system before it is returned.  The constraint order
-decides how fast the search finishes, and whether it does within the depth
-cap, but not the solution set of a complete run.
+than guessed at.  Every concrete branch solution is a candidate: it is
+certified against the engine's leading system and then by is_member against
+the full F before it is returned, so a complete run gives the exact group.
+The constraint order decides how fast the search finishes, and whether it
+does within the depth cap, but not the solution set of a complete run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
 
 from .cyclo import (
     CycloElem,
@@ -246,6 +248,9 @@ class ConstraintState:
     subs: dict                 # unknown -> Poly (current image)
     records: dict              # unknown -> g with unknown^g = 1 known
     depth: int = 0
+    # id -> constraint that is already rewritten by subs and normalized under
+    # records; holding the constraint keeps its id from being reused
+    clean: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -260,33 +265,69 @@ class SolveOutcome:
         return not self.unresolved
 
 
-def _lift(p: Poly, ring) -> Poly:
-    pad = (0,) * (len(ring) - len(p.vars))
-    return Poly(ring, {e + pad: c for e, c in p.terms.items()}, _internal=True)
+# The constraints come from F's three leading slices.  Two are not enough:
+# with slices of degree >= D - 1 only, g2 at every even n ends unresolved.
+LEADING_SLICES = 3
+
+
+def _scaled_derivative(p: Poly, s: int, t: int) -> Poly:
+    """(d/dx)^s (d/dy)^t p / (s! t!) for a polynomial p in the two plane
+    variables: the x^s y^t Taylor coefficient of p around a point."""
+    terms = {
+        (i - s, j - t): comb(i, s) * comb(j, t) * coef
+        for (i, j), coef in p.terms.items()
+        if i >= s and j >= t
+    }
+    return Poly(p.vars, terms, _internal=True)
 
 
 def collect_constraints(fmap: PolyMap2) -> dict:
-    """Expand phi o F - F o phi and bucket by plane monomial.
+    """The leading constraints of phi o F = F o phi for affine phi.
 
-    Returns a dict (component, plane_exps) -> Poly in the six unknowns.
+    Returns a dict (component, plane_exps) -> Poly in the six unknowns: the
+    coefficients of the commutator phi o F - F o phi at every plane
+    monomial of degree >= D - 2, where D is the larger degree of F's two
+    coordinates.  They depend only on F's slices F_j of degree j >= D - 2,
+    and no lower plane degree is formed: with L = (ax + by, dx + ey), the
+    degree-k part of F_j(L + (c, f)) is the Taylor sum over s + t = j - k
+    of c^s f^t / (s! t!) * (d/dx^s d/dy^t F_j)(L).  The dict is a subset of
+    the exact system, so a solution of it is a candidate, not yet a member.
     """
     plane = fmap.first.vars
     ring = plane + UNKNOWNS
-    uvar = {v: Poly.variable(ring, v) for v in UNKNOWNS}
-    xv = Poly.variable(ring, plane[0])
-    yv = Poly.variable(ring, plane[1])
-    img1 = uvar["a"] * xv + uvar["b"] * yv + uvar["c"]
-    img2 = uvar["d"] * xv + uvar["e"] * yv + uvar["f"]
-    lifted1 = _lift(fmap.first, ring)
-    lifted2 = _lift(fmap.second, ring)
-    images = {plane[0]: img1, plane[1]: img2}
-    d1 = uvar["a"] * lifted1 + uvar["b"] * lifted2 + uvar["c"] - fmap.first.substitute(images)
-    d2 = uvar["d"] * lifted1 + uvar["e"] * lifted2 + uvar["f"] - fmap.second.substitute(images)
+    a, b, c, d, e, f = (Poly.variable(ring, v) for v in UNKNOWNS)
+    xv, yv = (Poly.variable(ring, v) for v in plane)
+    top = fmap.degree()
+    low = max(top - LEADING_SLICES + 1, 0)
+    linear = {plane[0]: a * xv + b * yv, plane[1]: d * xv + e * yv}
+    pad = (0,) * len(UNKNOWNS)
+
+    def leading(p: Poly) -> Poly:
+        """p's slices of degree >= low, lifted into the ring."""
+        return Poly(
+            ring, {ex + pad: co for ex, co in p.terms.items() if sum(ex) >= low}, _internal=True
+        )
+
+    first, second = (leading(p) for p in fmap.components())
     buckets = {}
-    for component, dpoly in ((1, d1), (2, d2)):
-        for exps, coef in dpoly.terms.items():
-            key = (component, exps[:2])
-            buckets.setdefault(key, {})[exps[2:]] = coef
+    for component, (outer1, outer2, shift), coord in (
+        (1, (a, b, c), fmap.first),
+        (2, (d, e, f), fmap.second),
+    ):
+        diff = outer1 * first + outer2 * second
+        if low == 0:
+            diff = diff + shift
+        for j in range(low, top + 1):
+            slice_j = coord.degree_slice(j)
+            if slice_j.is_zero():
+                continue
+            for order in range(j - low + 1):
+                for s in range(order + 1):
+                    taylor = _scaled_derivative(slice_j, s, order - s)
+                    if not taylor.is_zero():
+                        diff = diff - c**s * f ** (order - s) * taylor.substitute(linear)
+        for exps, coef in diff.terms.items():
+            buckets.setdefault((component, exps[:2]), {})[exps[2:]] = coef
     return {key: Poly(UNKNOWNS, terms, _internal=True) for key, terms in buckets.items()}
 
 
@@ -411,9 +452,9 @@ def _as_power_equation(p: Poly):
 
 class _Engine:
     def __init__(self, fmap: PolyMap2, depth_cap: int):
+        self.fmap = fmap
         self.original = collect_constraints(fmap)
         self.depth_cap = depth_cap
-        self.model = fmap.model
         self.solutions = []
         self.unresolved = []
 
@@ -448,7 +489,7 @@ class _Engine:
             g = records.pop(var)
             # the record var^g = 1 must survive the substitution
             constraints.append(image**g - 1)
-        return ConstraintState(constraints, subs, records, state.depth)
+        return ConstraintState(constraints, subs, records, state.depth, dict(state.clean))
 
     def _det_poly(self, subs: dict) -> Poly:
         def img(v):
@@ -461,22 +502,24 @@ class _Engine:
     def _process(self, state: ConstraintState):
         while True:
             live = []
-            seen = set()
+            seen = {}  # support -> live constraints with that support
             for p in state.constraints:
                 q = _apply_subs(p, state.subs)
-                if q.is_zero():
+                if q is not p or id(p) not in state.clean:
+                    if q.is_zero():
+                        continue
+                    q = _normalize(q, state.records)
+                    if q.is_zero():
+                        continue
+                    if q.is_constant():
+                        return None  # nonzero constant: inconsistent branch
+                twins = seen.setdefault(frozenset(q.terms), [])
+                if any(q.terms == r.terms for r in twins):
                     continue
-                q = _normalize(q, state.records)
-                if q.is_zero():
-                    continue
-                if q.is_constant():
-                    return None  # nonzero constant: inconsistent branch
-                sig = tuple(sorted(q.terms.items(), key=lambda t: grlex_key(t[0])))
-                if sig in seen:
-                    continue
-                seen.add(sig)
+                twins.append(q)
                 live.append(q)
             state.constraints = live
+            state.clean = {id(q): q for q in live}
             if self._det_poly(state.subs).is_zero():
                 return None  # determinant forced to vanish identically
             action = self._find_action(state)
@@ -488,6 +531,7 @@ class _Engine:
             elif kind == "record":
                 _, var, order, spent = action
                 g = gcd(state.records.get(var, 0), order)
+                state.clean = {}  # a sharper record renormalizes everything
                 if spent is not None:
                     state.constraints = [p for p in state.constraints if p is not spent]
                 if g == 1:
@@ -508,6 +552,7 @@ class _Engine:
                         dict(state.subs),
                         dict(state.records),
                         state.depth + 1,
+                        dict(state.clean),
                     )
                     if br[0] == "set":
                         child = self._with_sub(child, br[1], br[2])
@@ -615,13 +660,16 @@ class _Engine:
                     {"reason": f"unknown {v} is unconstrained", "state": _digest(state)},
                 )
             values[v] = img.constant_value()
-        candidate = AffineMap2(tuple(values[v] for v in UNKNOWNS), self.model)
+        candidate = AffineMap2(tuple(values[v] for v in UNKNOWNS), self.fmap.model)
         if not candidate.is_invertible():
             return None
-        # certify against the untouched system before accepting
+        # certify against the untouched leading system, then against F itself:
+        # the leading system only narrows the search to finitely many candidates
         for p in self.original.values():
             if CycloElem.from_coef(p.evaluate(values)) != 0:
                 return None
+        if not is_member(candidate, self.fmap):
+            return None
         return ("solution", candidate)
 
 

@@ -2,13 +2,17 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldmap import automorphism
 from foldmap.automorphism import (
     UNKNOWNS,
     AffineMap2,
+    ConstraintState,
+    _Engine,
     claimed_group,
     collect_constraints,
     is_member,
@@ -16,7 +20,7 @@ from foldmap.automorphism import (
 )
 from foldmap.cyclo import CycloElem, SQRT3
 from foldmap.folding import fold
-from foldmap.poly import XY, ZW, Poly
+from foldmap.poly import XY, XY_VARS, ZW, Poly, PolyMap2
 from foldmap.rationals import rat
 
 ZETA3 = CycloElem.zeta_pow(4)
@@ -277,3 +281,107 @@ def test_constraint_collection_shape():
     assert len(p.terms) == 1
     ((exps, coef),) = p.terms.items()
     assert exps == (1, 2, 0, 0, 0, 0) and coef == -3
+
+
+def _full_constraints(fmap):
+    """Reference: expand phi o F - F o phi in the eight-variable ring and
+    bucket every plane monomial's coefficient, at every plane degree."""
+    plane = fmap.first.vars
+    ring = plane + UNKNOWNS
+    a, b, c, d, e, f = (Poly.variable(ring, v) for v in UNKNOWNS)
+    xv, yv = (Poly.variable(ring, v) for v in plane)
+    pad = (0,) * len(UNKNOWNS)
+    first, second = (
+        Poly(ring, {ex + pad: co for ex, co in p.terms.items()}) for p in fmap.components()
+    )
+    images = {plane[0]: a * xv + b * yv + c, plane[1]: d * xv + e * yv + f}
+    buckets = {}
+    for component, diff in (
+        (1, a * first + b * second + c - fmap.first.substitute(images)),
+        (2, d * first + e * second + f - fmap.second.substitute(images)),
+    ):
+        for exps, coef in diff.terms.items():
+            buckets.setdefault((component, exps[:2]), {})[exps[2:]] = coef
+    return {key: Poly(UNKNOWNS, terms) for key, terms in buckets.items()}
+
+
+def _assert_leading_constraints(fmap):
+    low = fmap.degree() - 2
+    want = {key: p for key, p in _full_constraints(fmap).items() if sum(key[1]) >= low}
+    assert collect_constraints(fmap) == want
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_leading_constraints_match_full_expansion(tag, n):
+    # at n = 2, a2 and b2 have D - 2 = 0: the translation (c, f) enters there
+    _assert_leading_constraints(fold(tag, n))
+
+
+map_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    st.builds(
+        lambda k, q: CycloElem.zeta_pow(k) * q,
+        st.integers(0, 11),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    ),
+)
+map_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), map_coeffs, max_size=4
+).map(lambda d: Poly(XY_VARS, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_polys, map_polys)
+def test_leading_constraints_match_full_expansion_on_random_maps(first, second):
+    _assert_leading_constraints(PolyMap2(first, second, XY, "random"))
+
+
+def test_finish_certifies_against_the_constraint_system(monkeypatch):
+    """A grounded branch whose values break the engine's system is rejected
+    by the evaluation loop alone, even when is_member would accept it."""
+    monkeypatch.setattr(automorphism, "is_member", lambda phi, fmap: True)
+    engine = _Engine(fold("b2", 3), depth_cap=32)
+
+    def grounded(values):
+        subs = {v: Poly.constant(UNKNOWNS, x) for v, x in zip(UNKNOWNS, values)}
+        return ConstraintState([], subs, {})
+
+    assert engine._finish(grounded((2, 0, 0, 0, 1, 0))) is None
+    assert engine._finish(grounded((1, 0, 0, 0, 1, 0))) == (
+        "solution", AffineMap2.identity(XY)
+    )
+
+
+def test_is_member_cuts_leading_candidates_to_the_group(monkeypatch):
+    """F = (x^4 + y, y^4): its leading slices (x^4, y^4) admit 18 maps, the
+    diagonal and anti-diagonal ones with cube-root entries; only the three
+    (x, y) -> (zeta x, zeta y) with zeta^3 = 1 commute with F itself."""
+    x4y = Poly(XY_VARS, {(4, 0): 1, (0, 1): 1})
+    y4 = Poly(XY_VARS, {(0, 4): 1})
+    fmap = PolyMap2(x4y, y4, XY, "x4+y")
+    cube_roots = [CycloElem(1), ZETA3, ZETA3**2]
+    engine = _Engine(fmap, depth_cap=32)
+    engine.run()
+    assert not engine.unresolved
+    assert sorted(engine.solutions, key=AffineMap2.sort_key) == sorted(
+        (AffineMap2((z, 0, 0, 0, z, 0), XY) for z in cube_roots), key=AffineMap2.sort_key
+    )
+    monkeypatch.setattr(automorphism, "is_member", lambda phi, fmap: True)
+    candidates = _Engine(fmap, depth_cap=32)
+    candidates.run()
+    assert len(candidates.solutions) == 18
+
+
+@pytest.mark.parametrize(
+    "tag,n",
+    [(tag, n) for tag in ("a2", "b2", "g2") for n in range(2, 15)]
+    + [("a2", 40), ("b2", 20), ("g2", 30)],
+)
+def test_solver_equals_claimed_group(tag, n):
+    out = solve_aut(tag, n)
+    claimed = claimed_group(tag, n)
+    assert out.complete
+    assert out.solutions.elements == claimed.elements
+    assert out.solutions.label == claimed.label
