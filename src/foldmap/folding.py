@@ -1,11 +1,19 @@
 """Generation of the folding-map families and the commutation check.
 
-Each family is generated from its published base cases by the linear
-recursion in the maps' coordinates; results are memoized per family, so a
-fresh fold(tag, n) costs one recursion step beyond fold(tag, n-1).  The A2
-family is generated natively in the ZW model (z and z-bar as independent
-variables), which keeps the recursion free of conjugation bookkeeping; its
-second coordinate is always swap_conjugate of the first.
+Each stored coordinate of F_n is the n-th power sum P_n of the exponentials
+of one Weyl orbit of size K (Hoffman & Withers, Trans. AMS 308, 1988), so it
+is fixed by the orbit's elementary symmetric functions e_1, ..., e_K,
+polynomials in the plane coordinates with e_K = 1.  Newton's identities
+generate every map:
+
+    P_0 = K,    P_n = sum_{k=1}^{min(n, K)} (-1)^(k-1) e_k P_{n-k}  (n >= 1),
+
+with P_0 replaced by n in the k = n term.  For n >= K this is the published
+recursion; below K it gives the published base rows.  Results are memoized
+per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
+A2 is generated in the ZW model (z and z-bar as independent variables),
+which keeps the recursion free of conjugation bookkeeping; its second
+coordinate is always swap_conjugate of the first.
 """
 
 from __future__ import annotations
@@ -16,16 +24,15 @@ from dataclasses import dataclass
 from .poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 FAMILY_TAGS = ("a2", "b2", "g2")
-HALF_FOLD_KINDS = ("b_sqrt2", "g_sqrt3")
 
 
-def _p(terms: dict, vars=XY_VARS) -> Poly:
-    return Poly(vars, terms)
+def _p(terms: dict) -> Poly:
+    return Poly(XY_VARS, terms)
 
 
 def normalize_tag(tag: str) -> str:
     t = tag.lower().replace("_", "").replace("-", "")
-    if t in ("a2", "b2", "g2"):
+    if t in FAMILY_TAGS:
         return t
     raise ValueError(f"unknown folding family {tag!r}")
 
@@ -39,75 +46,13 @@ def normalize_half_kind(kind: str) -> str:
     raise ValueError(f"unknown half-fold kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class FoldingFamily:
-    tag: str
-    model: str
-    arity: int          # how many prior maps one recursion step consumes
-    base_count: int
-
-    def base_maps(self) -> list:
-        """The published base cases, below which the recursion never runs."""
-        return [fold(self.tag, n) for n in range(self.base_count)]
-
-
-FAMILIES = {
-    "a2": FoldingFamily("a2", ZW, 3, 3),
-    "b2": FoldingFamily("b2", XY, 4, 4),
-    "g2": FoldingFamily("g2", XY, 6, 6),
-}
-
-
-def get_family(tag: str) -> FoldingFamily:
-    return FAMILIES[normalize_tag(tag)]
-
-# -- base cases, verbatim from the published tables ------------------------
+# -- each orbit's elementary symmetric functions -----------------------------
 
 _Z = Poly.variable(ZW_VARS, "z")
 _W = Poly.variable(ZW_VARS, "w")
 _X = Poly.variable(XY_VARS, "x")
 _Y = Poly.variable(XY_VARS, "y")
 
-_A2_BASE = [
-    Poly.constant(ZW_VARS, 3),
-    _Z,
-    _Z**2 - 2 * _W,
-]
-
-_B2_BASE = [
-    (Poly.constant(XY_VARS, 4), Poly.constant(XY_VARS, 4)),
-    (_X, _Y),
-    (_p({(2, 0): 1, (0, 1): -2, (0, 0): -4}),
-     _p({(0, 2): 1, (2, 0): -2, (0, 1): 4, (0, 0): 4})),
-    (_p({(3, 0): 1, (1, 1): -3, (1, 0): -3}),
-     _p({(0, 3): 1, (2, 1): -3, (0, 2): 6, (0, 1): 9})),
-]
-
-_G2_BASE = [
-    (Poly.constant(XY_VARS, 6), Poly.constant(XY_VARS, 6)),
-    (_X, _Y),
-    (_p({(2, 0): 1, (1, 0): -2, (0, 1): -2, (0, 0): -6}),
-     _p({(3, 0): -2, (1, 1): 6, (0, 2): 1, (1, 0): 18, (0, 1): 10, (0, 0): 18})),
-    (_p({(3, 0): 1, (1, 1): -3, (1, 0): -9, (0, 1): -6, (0, 0): -12}),
-     _p({(3, 1): -3, (3, 0): -6, (1, 2): 9, (0, 3): 1, (1, 1): 45,
-         (0, 2): 18, (1, 0): 54, (0, 1): 63, (0, 0): 60})),
-    (_p({(4, 0): 1, (2, 1): -4, (2, 0): -10, (1, 1): -4, (0, 2): 2,
-         (1, 0): -8, (0, 1): 8, (0, 0): 6}),
-     _p({(6, 0): 2, (4, 1): -12, (3, 2): -4, (4, 0): -36, (3, 1): -28,
-         (2, 2): 18, (1, 3): 12, (0, 4): 1, (3, 0): -40, (2, 1): 108,
-         (1, 2): 120, (0, 3): 24, (2, 0): 162, (1, 1): 372, (0, 2): 134,
-         (1, 0): 360, (0, 1): 280, (0, 0): 198})),
-    (_p({(5, 0): 1, (3, 1): -5, (3, 0): -15, (2, 1): -5, (1, 2): 5,
-         (2, 0): -10, (1, 1): 35, (0, 2): 10, (1, 0): 55, (0, 1): 50,
-         (0, 0): 60}),
-     _p({(6, 1): 5, (6, 0): 10, (4, 2): -30, (3, 3): -5, (4, 1): -150,
-         (3, 2): -65, (2, 3): 45, (1, 4): 15, (0, 5): 1, (4, 0): -180,
-         (3, 1): -205, (2, 2): 360, (1, 3): 240, (0, 4): 30, (3, 0): -190,
-         (2, 1): 945, (1, 2): 1200, (0, 3): 255, (2, 0): 810, (1, 1): 2415,
-         (0, 2): 920, (1, 0): 1710, (0, 1): 1495, (0, 0): 900})),
-]
-
-# recursion multipliers for the G2 family
 _G2_XM = _p({(1, 0): 1, (0, 1): 1, (0, 0): 3})                    # x + y + 3
 _G2_XQ = _p({(2, 0): 1, (0, 1): -2, (0, 0): -4})                  # x^2 - 2y - 4
 _G2_YM = _p({(3, 0): 1, (1, 1): -3, (1, 0): -9, (0, 1): -5, (0, 0): -9})
@@ -120,49 +65,76 @@ _B2_XM = _p({(0, 1): 1, (0, 0): 2})                               # 2 + y
 _B2_YM = _p({(2, 0): 1, (0, 1): -2, (0, 0): -2})                  # x^2 - 2y - 2
 
 
-def _a2_step(hist: list[Poly]) -> Poly:
-    return _Z * hist[-1] - _W * hist[-2] + hist[-3]
+@dataclass(frozen=True)
+class FoldingFamily:
+    tag: str
+    model: str
+    symmetric: tuple    # per stored coordinate: (e_1, ..., e_K), e_K = 1
+
+    @property
+    def arity(self) -> int:
+        """The orbit size K: one recursion step consumes K prior maps, and
+        below K Newton's sums stop at k = n, which gives the base rows."""
+        return len(self.symmetric[0])
+
+    base_count = arity
+
+    def base_maps(self) -> list:
+        """The base rows F_0, ..., F_{K-1}, where Newton's sums stop at k = n."""
+        return [fold(self.tag, n) for n in range(self.base_count)]
 
 
-def _b2_step(xs: list[Poly], ys: list[Poly]):
-    xn = _X * (xs[-1] + xs[-3]) - _B2_XM * xs[-2] - xs[-4]
-    yn = _Y * (ys[-1] + ys[-3]) - _B2_YM * ys[-2] - ys[-4]
-    return xn, yn
+# e_k is e_{K-k}: a mirror pair is one object, so _power_sum takes one product
+FAMILIES = {
+    "a2": FoldingFamily("a2", ZW, ((_Z, _W, 1),)),
+    "b2": FoldingFamily("b2", XY, ((_X, _B2_XM, _X, 1), (_Y, _B2_YM, _Y, 1))),
+    "g2": FoldingFamily("g2", XY, ((_X, _G2_XM, _G2_XQ, _G2_XM, _X, 1),
+                                   (_Y, _G2_YM, _G2_YQ, _G2_YM, _Y, 1))),
+}
 
 
-def _g2_step(xs: list[Poly], ys: list[Poly]):
-    xn = _X * (xs[-1] + xs[-5]) - _G2_XM * (xs[-2] + xs[-4]) + _G2_XQ * xs[-3] - xs[-6]
-    yn = _Y * (ys[-1] + ys[-5]) - _G2_YM * (ys[-2] + ys[-4]) + _G2_YQ * ys[-3] - ys[-6]
-    return xn, yn
+def get_family(tag: str) -> FoldingFamily:
+    return FAMILIES[normalize_tag(tag)]
+
+
+def _power_sum(es: tuple, ps: list) -> Poly:
+    """P_n, n = len(ps) >= 1, from e_1..e_K and P_0..P_{n-1} by Newton's
+    identity; a mirror pair shares one product, taken once its sum is done."""
+    n = len(ps)
+    top = min(n, len(es))
+    acc = None
+    for k in range(1, top + 1):
+        e = es[k - 1]
+        if any(e is d for d in es[:k - 1]):
+            continue                    # summed with its mirror already
+        group = [(ps[n - j] if j < n else n, (j - k) % 2)
+                 for j in range(k, top + 1) if es[j - 1] is e]
+        s = group[0][0]
+        for p, flip in group[1:]:
+            s = s - p if flip else s + p
+        term = s if e == 1 else e * s
+        if acc is None:
+            acc = term
+        else:
+            acc = acc + term if k % 2 else acc - term
+    return acc
 
 
 class _Cache:
-    """Per-family lists of component polynomials, populate-once."""
+    """Per family, one list P_0, P_1, ... per stored coordinate, populate-once."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.a2 = list(_A2_BASE)
-        self.b2 = ([p for p, _ in _B2_BASE], [q for _, q in _B2_BASE])
-        self.g2 = ([p for p, _ in _G2_BASE], [q for _, q in _G2_BASE])
+        self.stored = {tag: [[Poly.constant(es[0].vars, len(es))] for es in fam.symmetric]
+                       for tag, fam in FAMILIES.items()}
         self.a2_xy: dict[int, PolyMap2] = {}
 
     def extend(self, tag: str, n: int):
+        stored = self.stored[tag]
         with self.lock:
-            if tag == "a2":
-                while len(self.a2) <= n:
-                    self.a2.append(_a2_step(self.a2))
-            elif tag == "b2":
-                xs, ys = self.b2
-                while len(xs) <= n:
-                    xn, yn = _b2_step(xs, ys)
-                    xs.append(xn)
-                    ys.append(yn)
-            else:
-                xs, ys = self.g2
-                while len(xs) <= n:
-                    xn, yn = _g2_step(xs, ys)
-                    xs.append(xn)
-                    ys.append(yn)
+            while len(stored[-1]) <= n:
+                for es, ps in zip(FAMILIES[tag].symmetric, stored):
+                    ps.append(_power_sum(es, ps))
 
 
 _CACHE = _Cache()
@@ -173,17 +145,12 @@ def fold(tag: str, n: int) -> PolyMap2:
     tag = normalize_tag(tag)
     if n < 0:
         raise ValueError("fold needs n >= 0")
-    label = f"{tag.upper()}:{n}"
-    if tag == "a2":
-        if len(_CACHE.a2) <= n:
-            _CACHE.extend(tag, n)
-        first = _CACHE.a2[n]
-        return PolyMap2(first, swap_conjugate(first), ZW, label)
-    xs, ys = _CACHE.b2 if tag == "b2" else _CACHE.g2
-    if len(xs) <= n:
+    stored = _CACHE.stored[tag]
+    if len(stored[-1]) <= n:
         _CACHE.extend(tag, n)
-        xs, ys = _CACHE.b2 if tag == "b2" else _CACHE.g2
-    return PolyMap2(xs[n], ys[n], XY, label)
+    first = stored[0][n]
+    second = stored[1][n] if len(stored) == 2 else swap_conjugate(first)
+    return PolyMap2(first, second, FAMILIES[tag].model, f"{tag.upper()}:{n}")
 
 
 def fold_xy(tag: str, n: int) -> PolyMap2:
@@ -201,16 +168,12 @@ def fold_xy(tag: str, n: int) -> PolyMap2:
 
 
 def half_fold(kind: str) -> PolyMap2:
-    """The square-root folding maps B_sqrt2 and G_sqrt3."""
+    """The square-root folding maps B_sqrt2 = (y, x_2) and G_sqrt3 = (y, x_3),
+    whose second coordinates are the x-coordinates of B_2 and G_3."""
     kind = normalize_half_kind(kind)
     if kind == "b_sqrt2":
-        return PolyMap2(_Y, _p({(2, 0): 1, (0, 1): -2, (0, 0): -4}), XY, "Bsqrt2")
-    return PolyMap2(
-        _Y,
-        _p({(3, 0): 1, (1, 1): -3, (1, 0): -9, (0, 1): -6, (0, 0): -12}),
-        XY,
-        "Gsqrt3",
-    )
+        return PolyMap2(_Y, fold("b2", 2).first, XY, "Bsqrt2")
+    return PolyMap2(_Y, fold("g2", 3).first, XY, "Gsqrt3")
 
 
 def compose(outer: PolyMap2, inner: PolyMap2) -> PolyMap2:

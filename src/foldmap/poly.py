@@ -35,9 +35,6 @@ ZW = "ZW"
 XY_VARS = ("x", "y")
 ZW_VARS = ("z", "w")
 
-# A monomial is just an exponent tuple, one entry per context variable.
-Monomial = tuple
-
 
 def grlex_key(exps):
     """Sort key for graded-lex order, first variable major."""
@@ -126,12 +123,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def var_degree(self, name) -> int:
-        idx = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[idx] for e in self.terms)
 
     def coeff(self, exps):
         """Coefficient of the given monomial (0 when absent)."""

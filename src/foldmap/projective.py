@@ -69,10 +69,6 @@ def homogenize_map(m: PolyMap2) -> HomogMap3:
     return HomogMap3(tuple(comps), d, m.label)
 
 
-def degree(h: HomogMap3) -> int:
-    return h.degree
-
-
 def _binary_form_at_infinity(p: Poly):
     """Restrict a (X, Y, Z)-form to Z = 0 as a dict exponent-pair -> coef."""
     return {(i, j): c for (i, j, k), c in p.terms.items() if k == 0}

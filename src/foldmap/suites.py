@@ -294,6 +294,7 @@ def _descriptors(name: str, config: dict):
             out.append(("degree_growth", (tag, n, m)))
     elif name == "oracle":
         for tag in FAMILY_TAGS:
+            weyl.check_oracle_n(tag, config["oracle_max"])
             for n in range(1, config["oracle_max"] + 1):
                 out.append(
                     ("oracle", (tag, n, config["trials"], config["tol"], config["seed"]))

@@ -8,6 +8,7 @@ from foldmap.cli import main
 from foldmap.folding import fold, half_fold
 from foldmap.poly import PolyMap2
 from foldmap.projective import N_DESK_BOUND
+from foldmap.weyl import ORACLE_MAX_N
 
 
 def run(capsys, *argv):
@@ -167,6 +168,27 @@ def test_n_above_desk_bound_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and out == ""
     assert f"desk bound {N_DESK_BOUND}" in err
+
+
+@pytest.mark.parametrize("family,n", [("a2", "15"), ("b2", "11"), ("g2", "7")])
+def test_oracle_above_numerical_bound_is_usage_error(capsys, family, n):
+    code, out, err = run(capsys, "oracle", "--family", family, "--n", n)
+    assert code == 64 and out == ""
+    assert f"numerical bound {ORACLE_MAX_N[family]}" in err
+
+
+@pytest.mark.parametrize("family,n", [("a2", "14"), ("b2", "10"), ("g2", "6")])
+def test_oracle_passes_at_numerical_bound(capsys, family, n):
+    assert int(n) == ORACLE_MAX_N[family]
+    code, out, _ = run(capsys, "oracle", "--family", family, "--n", n)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_run_suite_rejects_oracle_max_above_numerical_bound():
+    from foldmap.suites import run_suite
+
+    with pytest.raises(ValueError, match="numerical bound 6"):
+        run_suite("oracle", {"oracle_max": 7})
 
 
 def test_desk_bound_admits_benchmark_sizes(capsys):

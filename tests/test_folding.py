@@ -98,6 +98,30 @@ def test_g2_low_rows():
     assert g2.second == -2 * X**3 + 6 * X * Y + Y**2 + 18 * X + 10 * Y + 18
     g3 = fold("g2", 3)
     assert g3.first == X**3 - 3 * X * Y - 9 * X - 6 * Y - 12
+    # the remaining published rows, verbatim
+    assert g3.second == Poly(XY_VARS, {
+        (3, 1): -3, (3, 0): -6, (1, 2): 9, (0, 3): 1, (1, 1): 45,
+        (0, 2): 18, (1, 0): 54, (0, 1): 63, (0, 0): 60})
+    g4 = fold("g2", 4)
+    assert g4.first == Poly(XY_VARS, {
+        (4, 0): 1, (2, 1): -4, (2, 0): -10, (1, 1): -4, (0, 2): 2,
+        (1, 0): -8, (0, 1): 8, (0, 0): 6})
+    assert g4.second == Poly(XY_VARS, {
+        (6, 0): 2, (4, 1): -12, (3, 2): -4, (4, 0): -36, (3, 1): -28,
+        (2, 2): 18, (1, 3): 12, (0, 4): 1, (3, 0): -40, (2, 1): 108,
+        (1, 2): 120, (0, 3): 24, (2, 0): 162, (1, 1): 372, (0, 2): 134,
+        (1, 0): 360, (0, 1): 280, (0, 0): 198})
+    g5 = fold("g2", 5)
+    assert g5.first == Poly(XY_VARS, {
+        (5, 0): 1, (3, 1): -5, (3, 0): -15, (2, 1): -5, (1, 2): 5,
+        (2, 0): -10, (1, 1): 35, (0, 2): 10, (1, 0): 55, (0, 1): 50,
+        (0, 0): 60})
+    assert g5.second == Poly(XY_VARS, {
+        (6, 1): 5, (6, 0): 10, (4, 2): -30, (3, 3): -5, (4, 1): -150,
+        (3, 2): -65, (2, 3): 45, (1, 4): 15, (0, 5): 1, (4, 0): -180,
+        (3, 1): -205, (2, 2): 360, (1, 3): 240, (0, 4): 30, (3, 0): -190,
+        (2, 1): 945, (1, 2): 1200, (0, 3): 255, (2, 0): 810, (1, 1): 2415,
+        (0, 2): 920, (1, 0): 1710, (0, 1): 1495, (0, 0): 900})
 
 
 def test_g2_recursion_against_composition():

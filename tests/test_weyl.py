@@ -173,6 +173,19 @@ def _elementary_symmetric(values, k):
     return total
 
 
+def _check_family_table(tag, values, betas_of):
+    """Every e_k in folding.FAMILIES[tag] equals the orbit's e_k at a point."""
+    from foldmap.folding import FAMILIES
+
+    for coord, es in enumerate(FAMILIES[tag].symmetric):
+        betas = betas_of(coord)
+        assert len(es) == len(betas), (tag, coord)
+        for k, e in enumerate(es, start=1):
+            got = e.evaluate_complex(values) if isinstance(e, Poly) else e
+            want = _elementary_symmetric(betas, k)
+            assert abs(got - want) < 1e-9, (tag, coord, k, got, want)
+
+
 def test_recursions_are_orbit_characteristic_polynomials():
     """Coordinates of the folding maps are power sums of orbit exponentials,
     so each recursion multiplier must equal an elementary symmetric function
@@ -213,6 +226,9 @@ def test_recursions_are_orbit_characteristic_polynomials():
                     want = _elementary_symmetric(betas, k)
                     got = poly.evaluate_complex(values)
                     assert abs(got - want) < 1e-9, (tag, coord, k, got, want)
+            _check_family_table(
+                tag, values, lambda c: _orbit_exponentials(data, ordering[c], p)
+            )
 
 
 def test_a2_recursion_symmetric_functions():
@@ -227,6 +243,7 @@ def test_a2_recursion_symmetric_functions():
         assert abs(_elementary_symmetric(betas, 1) - z_val) < 1e-9
         assert abs(_elementary_symmetric(betas, 2) - w_val) < 1e-9
         assert abs(_elementary_symmetric(betas, 3) - 1) < 1e-9
+        _check_family_table("a2", {"z": z_val, "w": w_val}, lambda c: betas)
 
 
 @pytest.mark.parametrize("tag", ["b2", "g2"])
