@@ -1,8 +1,8 @@
 """Exact folding maps of the plane (A2 / B2 / G2 families) and their checks."""
 
 from .backend import backend_name
-from .cyclo import CycloElem, cyclo_arith
-from .poly import Poly, PolyMap2, poly_arith, swap_conjugate, xy_to_zw, zw_to_xy
+from .cyclo import CycloElem
+from .poly import Poly, PolyMap2, swap_conjugate, xy_to_zw, zw_to_xy
 
 __version__ = "0.1.0"
 
@@ -11,8 +11,6 @@ __all__ = [
     "Poly",
     "PolyMap2",
     "backend_name",
-    "cyclo_arith",
-    "poly_arith",
     "swap_conjugate",
     "xy_to_zw",
     "zw_to_xy",

@@ -10,15 +10,16 @@ where D is the degree of F, as a polynomial in the six unknown affine
 coefficients.  For affine phi these depend only on F's three leading slices
 (see collect_constraints), so they are a subset of the exact system.
 Constraints are consumed in one family-agnostic order (fewest terms, then
-lowest degree first; see _constraint_order) under four rewrite rules:
+lowest degree first; see _constraint_order) under three rewrite rules:
 
-  R1  a monomial constraint branches on its variables vanishing;
+  R1  a constraint m * q with monomial content m branches on each unrecorded
+      variable of m vanishing and, unless q is constant (the constraint is
+      a single monomial), on q vanishing;
   R2  a constraint linear in one unknown whose leading coefficient is a unit
       (a nonzero constant, possibly times a monomial in unknowns already
       known to be roots of unity) substitutes that unknown;
   R3  a constraint v^k = rho with rho a root of unity records
-      order(v) | k*order(rho); records intersect by gcd;
-  R4  a constraint with monomial content branches on content vs cofactor.
+      order(v) | k*order(rho); records intersect by gcd.
 
 Order records justify two sound normalizations used throughout: exponents
 of recorded unknowns are reduced mod the recorded order, and recorded-unit
@@ -248,9 +249,6 @@ class ConstraintState:
     subs: dict                 # unknown -> Poly (current image)
     records: dict              # unknown -> g with unknown^g = 1 known
     depth: int = 0
-    # id -> constraint that is already rewritten by subs and normalized under
-    # records; holding the constraint keeps its id from being reused
-    clean: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -374,23 +372,24 @@ def _content(p: Poly) -> list:
     return [min(col) for col in zip(*p.terms)]
 
 
+def _divide_monomial(p: Poly, mono) -> Poly:
+    """p / prod(v^m) for a monomial (exponents mono) dividing every term."""
+    return Poly(
+        UNKNOWNS,
+        {tuple(e - m for e, m in zip(exps, mono)): c for exps, c in p.terms.items()},
+        _internal=True,
+    )
+
+
 def _normalize(p: Poly, records: dict) -> Poly:
     """Exponent reduction, unit-content cancellation, monic scaling."""
     p = _reduce_exponents(p, records)
     if p.is_zero():
         return p
     if records:
-        mins = _content(p)
-        shift = [0] * len(UNKNOWNS)
-        for v in records:
-            k = UNKNOWNS.index(v)
-            shift[k] = mins[k]
+        shift = [m if v in records else 0 for v, m in zip(UNKNOWNS, _content(p))]
         if any(shift):
-            p = Poly(
-                UNKNOWNS,
-                {tuple(e - s for e, s in zip(exps, shift)): c for exps, c in p.terms.items()},
-                _internal=True,
-            )
+            p = _divide_monomial(p, shift)
     _, lead = p.leading_term()
     if lead != 1:
         inv = coef_div(1, lead)
@@ -420,20 +419,12 @@ def _linear_split(p: Poly, var_index: int):
 
 
 def _unit_monomial_inverse(exps, coef, records: dict):
-    """Inverse of coef * prod(v^e) when every v with e > 0 carries a record."""
-    inv = Poly.constant(UNKNOWNS, coef_div(1, coef))
-    for v, e in zip(UNKNOWNS, exps):
-        if e == 0:
-            continue
-        g = records.get(v)
-        if g is None:
-            return None
-        back = (-e) % g
-        if back:
-            mono = [0] * len(UNKNOWNS)
-            mono[UNKNOWNS.index(v)] = back
-            inv = inv * Poly(UNKNOWNS, {tuple(mono): 1}, _internal=True)
-    return inv
+    """Inverse of coef * prod(v^e) when every v with e > 0 carries a record
+    v^g = 1: the single monomial coef^-1 * prod(v^(-e mod g))."""
+    if any(e and v not in records for v, e in zip(UNKNOWNS, exps)):
+        return None
+    inv = tuple((-e) % records[v] if e else 0 for v, e in zip(UNKNOWNS, exps))
+    return Poly(UNKNOWNS, {inv: coef_div(1, coef)}, _internal=True)
 
 
 def _as_power_equation(p: Poly):
@@ -489,7 +480,7 @@ class _Engine:
             g = records.pop(var)
             # the record var^g = 1 must survive the substitution
             constraints.append(image**g - 1)
-        return ConstraintState(constraints, subs, records, state.depth, dict(state.clean))
+        return ConstraintState(constraints, subs, records, state.depth)
 
     def _det_poly(self, subs: dict) -> Poly:
         def img(v):
@@ -504,22 +495,17 @@ class _Engine:
             live = []
             seen = {}  # support -> live constraints with that support
             for p in state.constraints:
-                q = _apply_subs(p, state.subs)
-                if q is not p or id(p) not in state.clean:
-                    if q.is_zero():
-                        continue
-                    q = _normalize(q, state.records)
-                    if q.is_zero():
-                        continue
-                    if q.is_constant():
-                        return None  # nonzero constant: inconsistent branch
+                q = _normalize(_apply_subs(p, state.subs), state.records)
+                if q.is_zero():
+                    continue
+                if q.is_constant():
+                    return None  # nonzero constant: inconsistent branch
                 twins = seen.setdefault(frozenset(q.terms), [])
                 if any(q.terms == r.terms for r in twins):
                     continue
                 twins.append(q)
                 live.append(q)
             state.constraints = live
-            state.clean = {id(q): q for q in live}
             if self._det_poly(state.subs).is_zero():
                 return None  # determinant forced to vanish identically
             action = self._find_action(state)
@@ -531,7 +517,6 @@ class _Engine:
             elif kind == "record":
                 _, var, order, spent = action
                 g = gcd(state.records.get(var, 0), order)
-                state.clean = {}  # a sharper record renormalizes everything
                 if spent is not None:
                     state.constraints = [p for p in state.constraints if p is not spent]
                 if g == 1:
@@ -547,19 +532,12 @@ class _Engine:
                     )
                 children = []
                 for br in action[1]:
-                    child = ConstraintState(
-                        list(state.constraints),
-                        dict(state.subs),
-                        dict(state.records),
-                        state.depth + 1,
-                        dict(state.clean),
-                    )
                     if br[0] == "set":
-                        child = self._with_sub(child, br[1], br[2])
+                        child = self._with_sub(state, br[1], br[2])
                     else:  # ("factor", constraint, cofactor)
-                        child.constraints = [
-                            br[2] if p is br[1] else p for p in child.constraints
-                        ]
+                        swapped = [br[2] if p is br[1] else p for p in state.constraints]
+                        child = ConstraintState(swapped, dict(state.subs), dict(state.records))
+                    child.depth = state.depth + 1
                     children.append(child)
                 return ("branch", children)
             else:
@@ -583,48 +561,28 @@ class _Engine:
                         # v^k = rho only implies v^(k*ord(rho)) = 1: sharpen
                         # the record but keep the constraint for enumeration
                         return ("record", var, order, None)
-            # R2 / R2': substitute the latest linearly-occurring unknown
+            # R2: substitute the latest linearly-occurring unknown
             for vi in range(len(UNKNOWNS) - 1, -1, -1):
                 split = _linear_split(p, vi)
                 if split is None:
                     continue
                 lead, rest = split
-                if lead.is_constant():
-                    image = rest.map_coefficients(
-                        lambda co: coef_div(co, -lead.constant_value())
-                    )
-                    return ("sub", UNKNOWNS[vi], _reduce_exponents(image, records))
                 if len(lead.terms) == 1:
                     (exps, coef), = lead.terms.items()
                     inv = _unit_monomial_inverse(exps, coef, records)
                     if inv is not None:
                         image = _reduce_exponents(-(rest * inv), records)
                         return ("sub", UNKNOWNS[vi], image)
-            # R1: single monomial
-            if len(p.terms) == 1:
-                (exps, _), = p.terms.items()
-                branches = [
-                    ("set", v, Poly.zero(UNKNOWNS))
-                    for v, e in zip(UNKNOWNS, exps)
-                    if e > 0 and v not in records
-                ]
-                if not branches:
-                    return None  # unit monomial cannot vanish: dead end
-                return ("branch", branches)
-            # R4: strip monomial content
+            # R1: strip monomial content; a monomial has a constant cofactor
             mins = _content(p)
             if any(mins):
-                cofactor = Poly(
-                    UNKNOWNS,
-                    {tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()},
-                    _internal=True,
-                )
                 branches = [
                     ("set", v, Poly.zero(UNKNOWNS))
                     for v, m in zip(UNKNOWNS, mins)
                     if m > 0 and v not in records
                 ]
-                branches.append(("factor", p, cofactor))
+                if len(p.terms) > 1:
+                    branches.append(("factor", p, _divide_monomial(p, mins)))
                 return ("branch", branches)
         # quiescent: enumerate a recorded unknown
         for v in UNKNOWNS:

@@ -42,6 +42,10 @@ def _get_map(family: str, n: int | None, model: str) -> PolyMap2:
     _check_n(n)
     family = family.lower()
     if family in ("bsqrt2", "gsqrt3"):
+        if n is not None:
+            raise ValueError(
+                f"--n does not apply to {family}: the half folds are single fixed maps"
+            )
         return half_fold(family)
     if n is None:
         raise ValueError("--n is required for the a2/b2/g2 families")

@@ -221,7 +221,6 @@ _ZETA_POWERS = (
     CycloElem(0, 1, 0, -1),
 )
 
-ZERO = CycloElem(0)
 ONE = CycloElem(1)
 ZETA = CycloElem.zeta_pow(1)
 I_UNIT = CycloElem.zeta_pow(3)
@@ -246,23 +245,6 @@ def unity_order(value) -> int | None:
         if elem**d == ONE:
             return d
     return None
-
-
-def cyclo_arith(a, b, kind: str):
-    """Field arithmetic entry point: kind in {add, sub, mul, div}."""
-    a = CycloElem.from_coef(a)
-    b = CycloElem.from_coef(b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if not b:
-            raise ZeroDivisionError("cyclo_arith: division by zero")
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 # -- helpers over mixed coefficients (int | rational | CycloElem) --------

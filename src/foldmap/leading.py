@@ -233,8 +233,3 @@ def g2_x_slice_mismatch(n: int):
         if got != want:
             return (k, got, want)
     return None
-
-
-def g2_x_slices_match(n: int) -> bool:
-    """Degree-by-degree agreement of the G x-expansion's three braces."""
-    return g2_x_slice_mismatch(n) is None

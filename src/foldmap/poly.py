@@ -404,17 +404,6 @@ def _subst(terms, img_terms, powers):
     return acc
 
 
-def poly_arith(p: Poly, q: Poly, kind: str) -> Poly:
-    """Ring arithmetic entry point: kind in {add, sub, mul}."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def swap_conjugate(p: Poly) -> Poly:
     """Swap the two variables and conjugate every coefficient.
 

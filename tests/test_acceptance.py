@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from foldmap.automorphism import claimed_group, is_member, solve_aut
 from foldmap.cyclo import CycloElem
 from foldmap.folding import compose, fold, fold_xy, half_fold, verify_commute
-from foldmap.leading import g2_x_slices_match, verify_leading
+from foldmap.leading import g2_x_slice_mismatch, verify_leading
 from foldmap.poly import Poly, PolyMap2, XY_VARS, ZW_VARS
 from foldmap.projective import degree_growth, homogenize_map, indeterminacy, is_morphism
 from foldmap.weyl import check_scaling, verify_B_functional
@@ -133,7 +133,7 @@ def test_criterion_03_leading_terms():
         for n in range(1, 31):
             assert verify_leading("g2", n).passed, ("g2", n)
         for n in range(5, 31):
-            assert g2_x_slices_match(n), n
+            assert g2_x_slice_mismatch(n) is None, n
 
 
 def test_criterion_04_equivariance_and_sparsity():

@@ -255,7 +255,7 @@ def _assert_sound(out, tag, n):
         assert out.solutions.label == claimed.label
 
 
-@pytest.mark.parametrize("tag,n", [("a2", 4), ("b2", 5)])
+@pytest.mark.parametrize("tag,n", [("a2", 4), ("a2", 7), ("b2", 5), ("g2", 3)])
 def test_solver_is_sound_under_reversed_order(monkeypatch, tag, n):
     monkeypatch.setattr(automorphism, "_constraint_order", _reversed_order)
     out = solve_aut(tag, n)
@@ -267,7 +267,8 @@ def test_solver_is_sound_under_shuffled_order(monkeypatch):
     rng = random.Random(26)
     monkeypatch.setattr(automorphism, "_constraint_order", lambda item: rng.random())
     out = solve_aut("b2", 6)
-    # this shuffle hits the depth cap, so a partial outcome is checked too
+    # all 4 unresolved branches of this shuffle stall on the record a^5 = 1,
+    # which Q(zeta_12) cannot realize, so a partial outcome is checked too
     assert out.unresolved and out.solutions.label == "incomplete"
     _assert_sound(out, "b2", 6)
 
@@ -352,6 +353,35 @@ def test_finish_certifies_against_the_constraint_system(monkeypatch):
     assert engine._finish(grounded((1, 0, 0, 0, 1, 0))) == (
         "solution", AffineMap2.identity(XY)
     )
+
+
+def test_finish_reports_live_constraints():
+    engine = _Engine(fold("b2", 3), depth_cap=32)
+    live = Poly.variable(UNKNOWNS, "a") - 1
+    unit = Poly.constant(UNKNOWNS, 1)
+    state = ConstraintState([live], {v: unit for v in UNKNOWNS}, {})
+    outcome = engine._finish(state)
+    assert outcome[0] == "unresolved"
+    assert outcome[1]["reason"] == "no rewrite rule applies"
+    assert outcome[1]["state"]["constraints"] == [str(live)]
+
+
+def test_finish_reports_an_unconstrained_unknown():
+    engine = _Engine(fold("b2", 3), depth_cap=32)
+    # f is never bound
+    subs = {v: Poly.constant(UNKNOWNS, x) for v, x in zip("abcde", (1, 0, 0, 0, 1))}
+    outcome = engine._finish(ConstraintState([], subs, {}))
+    assert outcome[0] == "unresolved"
+    assert outcome[1]["reason"] == "unknown f is unconstrained"
+
+
+def test_finish_drops_a_singular_candidate(monkeypatch):
+    # the zero map satisfies every leading constraint of b2 n=3 (they start
+    # at plane degree 1), so only the invertibility check turns it away
+    monkeypatch.setattr(automorphism, "is_member", lambda phi, fmap: True)
+    engine = _Engine(fold("b2", 3), depth_cap=32)
+    zero = Poly.zero(UNKNOWNS)
+    assert engine._finish(ConstraintState([], {v: zero for v in UNKNOWNS}, {})) is None
 
 
 def test_is_member_cuts_leading_candidates_to_the_group(monkeypatch):

@@ -37,6 +37,22 @@ def test_gen_half_fold(capsys):
     assert PolyMap2.from_json_obj(json.loads(out)) == half_fold("b_sqrt2")
 
 
+@pytest.mark.parametrize(
+    "argv", [("gen", "--family", "gsqrt3", "--n", "3"), ("proj", "--family", "bsqrt2", "--n", "7")]
+)
+def test_half_fold_rejects_n(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "--n does not apply" in err and "single fixed maps" in err
+
+
+def test_proj_half_fold(capsys):
+    code, out, _ = run(capsys, "proj", "--family", "bsqrt2")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["family"] == "bsqrt2" and obj["n"] is None and obj["degree"] == 2
+
+
 def test_gen_xy_model(capsys):
     code, out, _ = run(capsys, "gen", "--family", "a2", "--n", "2", "--model", "xy")
     assert code == 0
@@ -158,6 +174,7 @@ def test_verify_rejects_empty_family_selection(capsys):
     "argv",
     [
         ("gen", "--family", "a2", "--n", "201"),
+        ("gen", "--family", "bsqrt2", "--n", "201"),
         ("proj", "--family", "g2", "--n", "1000"),
         ("aut", "--family", "g2", "--n", "201", "--solve"),
         ("aut", "--family", "b2", "--n", "700", "--claimed"),

@@ -13,7 +13,6 @@ from foldmap.cyclo import (
     coef_components,
     coef_conj,
     coef_div,
-    cyclo_arith,
     roots_of_unity,
     unity_order,
 )
@@ -53,13 +52,13 @@ def test_embeddings():
 
 
 def test_arith_examples():
-    assert cyclo_arith(I_UNIT, I_UNIT, "mul") == -1
-    z3 = cyclo_arith(CycloElem.zeta_pow(4), CycloElem.zeta_pow(4), "mul")
-    assert cyclo_arith(z3, CycloElem.zeta_pow(4), "mul") == 1
+    assert I_UNIT * I_UNIT == -1
+    z3 = CycloElem.zeta_pow(4) * CycloElem.zeta_pow(4)
+    assert z3 * CycloElem.zeta_pow(4) == 1
     # derived via the brute-force reducer: conj(zeta^4) = zeta^44 = zeta^8
     expected = brute_zeta_power(44)
     assert list(CycloElem.zeta_pow(4).conj().components) == expected
-    assert cyclo_arith(ZETA3, ZETA3.conj(), "add") == -1
+    assert ZETA3 + ZETA3.conj() == -1
 
 
 def test_zeta_power_table_matches_bruteforce():
@@ -70,14 +69,9 @@ def test_zeta_power_table_matches_bruteforce():
 def test_division():
     e = CycloElem(3, -2, 1, 5)
     assert e * e.inverse() == 1
-    assert cyclo_arith(CycloElem(1), e, "div") * e == 1
+    assert CycloElem(1) / e * e == 1
     with pytest.raises(ZeroDivisionError):
-        cyclo_arith(CycloElem(1), CycloElem(0), "div")
-
-
-def test_unknown_kind():
-    with pytest.raises(ValueError):
-        cyclo_arith(ZETA, ZETA, "pow")
+        CycloElem(1) / CycloElem(0)
 
 
 small_rats = st.fractions(

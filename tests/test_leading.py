@@ -2,17 +2,19 @@
 
 import pytest
 
+from foldmap import leading
+from foldmap.folding import fold
 from foldmap.leading import (
     ExpansionRangeError,
     TermSpec,
     _build_terms,
-    g2_x_slices_match,
+    g2_x_slice_mismatch,
     g2_y_check,
     g2_y_leading_coef,
     predicted,
     verify_leading,
 )
-from foldmap.poly import Poly, XY_VARS, ZW_VARS
+from foldmap.poly import Poly, PolyMap2, XY_VARS, ZW_VARS
 
 
 def test_a_family_predictions():
@@ -89,9 +91,9 @@ def test_verify_g(n):
 
 def test_g_slices():
     for n in range(5, 16):
-        assert g2_x_slices_match(n)
+        assert g2_x_slice_mismatch(n) is None
     with pytest.raises(ExpansionRangeError):
-        g2_x_slices_match(4)
+        g2_x_slice_mismatch(4)
 
 
 def test_failure_reports_witness():
@@ -102,3 +104,30 @@ def test_failure_reports_witness():
     bad = ComponentCheck(1, Poly(XY_VARS, {(6, 0): 1}), 0)
     ok, deg, witness = check_component(fold("b2", 6).first, bad)
     assert not ok and witness is not None and deg > 0
+
+
+def _perturb_first(monkeypatch, extra: Poly):
+    """Make leading.fold return F_n with extra added to its first coordinate."""
+
+    def perturbed(tag, n):
+        m = fold(tag, n)
+        return PolyMap2(m.first + extra, m.second, m.model, m.label)
+
+    monkeypatch.setattr(leading, "fold", perturbed)
+
+
+def test_verify_leading_reports_a_wrong_map(monkeypatch):
+    # a term above F_6's top degree is outside every slack
+    _perturb_first(monkeypatch, Poly(XY_VARS, {(7, 0): 5}))
+    report = verify_leading("b2", 6)
+    assert not report.passed
+    assert report.witness == (1, (7, 0), 5)
+    assert report.residual_degrees == [7]  # the first failing check stops the run
+
+
+def test_g2_x_slice_mismatch_reports_a_wrong_map(monkeypatch):
+    n = 7
+    extra = Poly(XY_VARS, {(0, n - 1): 3})
+    _perturb_first(monkeypatch, extra)
+    k, got, want = g2_x_slice_mismatch(n)
+    assert k == n - 1 and got - want == extra

@@ -14,7 +14,6 @@ from foldmap.poly import (
     RealFormError,
     XY_VARS,
     ZW_VARS,
-    poly_arith,
     swap_conjugate,
     xy_to_zw,
     zw_to_xy,
@@ -33,15 +32,15 @@ def poly_from(triples, vars=XY_VARS):
 def test_arith_examples():
     p = poly_from([(2, 1, 3), (0, 0, -1)])
     one = Poly.constant(XY_VARS, 1)
-    assert poly_arith(one, p, "mul") == p
-    assert poly_arith(X + Y, X + Y, "mul") == X**2 + 2 * X * Y + Y**2
-    assert poly_arith(p, p, "sub").is_zero()
-    assert poly_arith(p, p, "sub").terms == {}
+    assert one * p == p
+    assert (X + Y) * (X + Y) == X**2 + 2 * X * Y + Y**2
+    assert (p - p).is_zero()
+    assert (p - p).terms == {}
 
 
 def test_context_mismatch():
     with pytest.raises(ValueError):
-        poly_arith(X, Z, "add")
+        X + Z
     # a full image map across contexts is fine
     assert X.substitute({"x": Z, "y": W + 1}) == Z
     with pytest.raises(ValueError):
@@ -137,9 +136,16 @@ def test_json_round_trip():
     blob = json.dumps(m.to_json_obj())
     again = PolyMap2.from_json_obj(json.loads(blob))
     assert again == m
-    p = I_UNIT * X + Poly.constant(XY_VARS, CycloElem(0, 1, 0, 0)) * Y
-    q = Poly.from_json_obj(json.loads(json.dumps(p.to_json_obj())))
+    p = (
+        I_UNIT * X
+        + Poly.constant(XY_VARS, CycloElem(0, 1, 0, 0)) * Y
+        + Fraction(-3, 4) * X * Y
+    )
+    blob = json.dumps(p.to_json_obj())
+    assert '"-3/4"' in blob
+    q = Poly.from_json_obj(json.loads(blob))
     assert q == p
+    assert q.coeff((1, 1)) == Fraction(-3, 4)
 
 
 def test_json_is_canonical():

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from foldmap.poly import Poly
+from foldmap import weyl
+from foldmap.folding import fold
+from foldmap.poly import Poly, PolyMap2
 from foldmap.weyl import (
     calibrate,
     chebyshev,
@@ -145,6 +147,17 @@ def test_chebyshev():
 @pytest.mark.parametrize("n", range(0, 16))
 def test_b_functional_equation(n):
     assert verify_B_functional(n).passed
+
+
+def test_b_functional_reports_a_wrong_map(monkeypatch):
+    def perturbed(tag, n):
+        m = fold(tag, n)
+        return PolyMap2(m.first, m.second + 3, m.model, m.label)
+
+    monkeypatch.setattr(weyl, "fold", perturbed)
+    report = verify_B_functional(4)
+    assert not report.passed
+    assert report.witness == (2, (0, 0), 3)
 
 
 def test_calibration_is_cached():
