@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--format", choices=("json", "text", "latex"), default="json")
+        p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=suites.DEFAULTS["seed"])
         p.add_argument("--jobs", type=int, default=1)
 

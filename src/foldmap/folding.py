@@ -71,18 +71,6 @@ class FoldingFamily:
     model: str
     symmetric: tuple    # per stored coordinate: (e_1, ..., e_K), e_K = 1
 
-    @property
-    def arity(self) -> int:
-        """The orbit size K: one recursion step consumes K prior maps, and
-        below K Newton's sums stop at k = n, which gives the base rows."""
-        return len(self.symmetric[0])
-
-    base_count = arity
-
-    def base_maps(self) -> list:
-        """The base rows F_0, ..., F_{K-1}, where Newton's sums stop at k = n."""
-        return [fold(self.tag, n) for n in range(self.base_count)]
-
 
 # e_k is e_{K-k}: a mirror pair is one object, so _power_sum takes one product
 FAMILIES = {
@@ -91,10 +79,6 @@ FAMILIES = {
     "g2": FoldingFamily("g2", XY, ((_X, _G2_XM, _G2_XQ, _G2_XM, _X, 1),
                                    (_Y, _G2_YM, _G2_YQ, _G2_YM, _Y, 1))),
 }
-
-
-def get_family(tag: str) -> FoldingFamily:
-    return FAMILIES[normalize_tag(tag)]
 
 
 def _power_sum(es: tuple, ps: list) -> Poly:
@@ -127,7 +111,6 @@ class _Cache:
         self.lock = threading.Lock()
         self.stored = {tag: [[Poly.constant(es[0].vars, len(es))] for es in fam.symmetric]
                        for tag, fam in FAMILIES.items()}
-        self.a2_xy: dict[int, PolyMap2] = {}
 
     def extend(self, tag: str, n: int):
         stored = self.stored[tag]
@@ -155,16 +138,8 @@ def fold(tag: str, n: int) -> PolyMap2:
 
 def fold_xy(tag: str, n: int) -> PolyMap2:
     """The n-th folding map in xy-coordinates (converts A2 from ZW)."""
-    tag = normalize_tag(tag)
-    if tag != "a2":
-        return fold(tag, n)
-    with _CACHE.lock:
-        got = _CACHE.a2_xy.get(n)
-    if got is None:
-        got = zw_to_xy(fold(tag, n))
-        with _CACHE.lock:
-            _CACHE.a2_xy.setdefault(n, got)
-    return got
+    m = fold(tag, n)
+    return zw_to_xy(m) if m.model == ZW else m
 
 
 def half_fold(kind: str) -> PolyMap2:

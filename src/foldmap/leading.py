@@ -14,19 +14,11 @@ from dataclasses import dataclass, field
 
 from .folding import fold, normalize_tag
 from .poly import XY_VARS, ZW_VARS, Poly
-from .rationals import rat
+from .rationals import as_exact, rat
 
 
 class ExpansionRangeError(ValueError):
     """Requested n is below the expansion's validity range."""
-
-
-@dataclass(frozen=True)
-class TermSpec:
-    """One displayed term: coefficient and exponent pair."""
-
-    coef: object
-    exps: tuple
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,8 @@ class LeadingReport:
     witness: tuple | None = None        # (component, exponents, coefficient)
 
 
-def _build_terms(vars, terms: list[TermSpec], slack: int) -> Poly:
-    """Assemble displayed terms, policing negative exponents.
+def _build_terms(vars, terms: list[tuple], slack: int) -> Poly:
+    """Assemble displayed (coef, exps) terms, policing negative exponents.
 
     A displayed term with a negative exponent is dropped when its coefficient
     vanishes (the small-n degenerations of the closed forms) or when
@@ -71,23 +63,24 @@ def _build_terms(vars, terms: list[TermSpec], slack: int) -> Poly:
     without the impossible term); otherwise it signals a misread formula.
     """
     out = {}
-    for t in terms:
-        if min(t.exps) < 0:
-            if t.coef == 0 or slack < 0:
+    for coef, exps in terms:
+        if min(exps) < 0:
+            if coef == 0 or slack < 0:
                 continue
             raise ValueError(
-                f"predicted term with negative exponent {t.exps} and "
-                f"nonzero coefficient {t.coef}"
+                f"predicted term with negative exponent {exps} and "
+                f"nonzero coefficient {coef}"
             )
-        if t.coef:
-            out[t.exps] = t.coef
+        if coef:
+            out[exps] = coef
     return Poly(vars, out)
 
 
-def _halfint(num: int):
-    """num/2 as an exact scalar (int when even)."""
-    value = rat(num, 2)
-    return int(value) if value.denominator == 1 else value
+def _head(n: int) -> list[tuple]:
+    """x^n - n x^{n-2}y + (n^2 - 3n)/2 x^{n-4}y^2, the three terms the a2,
+    b2-x and g2-x expansions start with (B2's printed n(n-3)/2 is the same
+    number)."""
+    return [(1, (n, 0)), (-n, (n - 2, 1)), (as_exact(rat(n * n - 3 * n, 2)), (n - 4, 2))]
 
 
 def predicted(tag: str, n: int) -> LeadingSpec:
@@ -97,36 +90,15 @@ def predicted(tag: str, n: int) -> LeadingSpec:
         if n < 2:
             raise ExpansionRangeError("A-family expansion needs n >= 2")
         slack = n - 3
-        p = _build_terms(
-            ZW_VARS,
-            [
-                TermSpec(1, (n, 0)),
-                TermSpec(-n, (n - 2, 1)),
-                TermSpec(_halfint(n * n - 3 * n), (n - 4, 2)),
-            ],
-            slack,
-        )
+        p = _build_terms(ZW_VARS, _head(n), slack)
         return LeadingSpec(tag, n, (ComponentCheck(1, p, slack),))
 
     if tag == "b2":
         if n < 3:
             raise ExpansionRangeError("B-family expansion needs n >= 3")
         slack = n - 3
-        px = _build_terms(
-            XY_VARS,
-            [
-                TermSpec(1, (n, 0)),
-                TermSpec(-n, (n - 2, 1)),
-                TermSpec(-n, (n - 2, 0)),
-                TermSpec(_halfint(n * (n - 3)), (n - 4, 2)),
-            ],
-            slack,
-        )
-        py = _build_terms(
-            XY_VARS,
-            [TermSpec(1, (0, n)), TermSpec(-n, (2, n - 2))],
-            n - 1,
-        )
+        px = _build_terms(XY_VARS, _head(n) + [(-n, (n - 2, 0))], slack)
+        py = _build_terms(XY_VARS, [(1, (0, n)), (-n, (2, n - 2))], n - 1)
         return LeadingSpec(
             tag,
             n,
@@ -153,17 +125,7 @@ def g2_x_check(n: int) -> ComponentCheck:
     if n < 5:
         raise ExpansionRangeError("G-family x-expansion needs n >= 5")
     slack = n - 3
-    p = _build_terms(
-        XY_VARS,
-        [
-            TermSpec(1, (n, 0)),
-            TermSpec(-n, (n - 2, 1)),
-            TermSpec(_halfint(n * n - 3 * n), (n - 4, 2)),
-            TermSpec(-n, (n - 3, 1)),
-            TermSpec(-3 * n, (n - 2, 0)),
-        ],
-        slack,
-    )
+    p = _build_terms(XY_VARS, _head(n) + [(-n, (n - 3, 1)), (-3 * n, (n - 2, 0))], slack)
     return ComponentCheck(1, p, slack)
 
 
@@ -182,7 +144,7 @@ def g2_y_check(n: int) -> ComponentCheck:
     else:
         exps = ((3 * n - 3) // 2, 1)
         slack = (3 * n - 3) // 2
-    p = _build_terms(XY_VARS, [TermSpec(g2_y_leading_coef(n), exps)], slack)
+    p = _build_terms(XY_VARS, [(g2_y_leading_coef(n), exps)], slack)
     return ComponentCheck(2, p, slack)
 
 

@@ -25,9 +25,7 @@ class CaseRecord:
             "inputs": self.inputs,
             "verdict": self.verdict,
         }
-        if self.verdict == FAIL:
-            obj["witness"] = _jsonable(self.witness)
-        elif self.witness is not None:
+        if self.witness is not None:
             obj["witness"] = _jsonable(self.witness)
         if self.note:
             obj["note"] = self.note

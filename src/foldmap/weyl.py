@@ -24,6 +24,7 @@ T_{k-1}; that identity is checked as an exact polynomial equality.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -66,14 +67,8 @@ def _mat_inv_transpose(m):
 class RootSystemData:
     tag: str
     cartan: tuple
-    simple_roots_plane: tuple           # explicit planar realization (floats)
     weyl: tuple                         # all group elements, weight basis
     orbits: tuple                       # (orbit of w1, orbit of w2)
-    lattice_generators: tuple = ((1, 0), (0, 1))
-
-    @property
-    def orbit_sizes(self):
-        return (len(self.orbits[0]), len(self.orbits[1]))
 
 
 def _simple_reflections(cartan):
@@ -111,22 +106,8 @@ def _orbit(weyl, start):
     return tuple(sorted({_mat_vec(m, start) for m in weyl}))
 
 
-def _planar_roots(cartan):
-    """A planar realization matching the Cartan matrix, alpha_1 on the axis.
-
-    With the convention cartan[i][j] = 2 (alpha_j, alpha_i) / (alpha_i,
-    alpha_i) and (alpha_1, alpha_1) = 2 fixed, the remaining inner products
-    are determined.
-    """
-    ip12 = float(cartan[0][1])                    # (alpha_1, alpha_2)
-    len2sq = 2.0 * ip12 / float(cartan[1][0])     # (alpha_2, alpha_2)
-    a1 = (math.sqrt(2.0), 0.0)
-    x = ip12 / a1[0]
-    y = math.sqrt(len2sq - x * x)
-    return (a1, (x, y))
-
-
-def root_system(tag: str) -> RootSystemData:
+@functools.cache
+def get_system(tag: str) -> RootSystemData:
     tag = normalize_tag(tag)
     cartan = CARTAN[tag]
     weyl = _closure(_simple_reflections(cartan))
@@ -136,17 +117,7 @@ def root_system(tag: str) -> RootSystemData:
             f"expected {WEYL_ORDER[tag]}"
         )
     orbits = (_orbit(weyl, (1, 0)), _orbit(weyl, (0, 1)))
-    return RootSystemData(tag, cartan, _planar_roots(cartan), weyl, orbits)
-
-
-_SYSTEMS: dict[str, RootSystemData] = {}
-
-
-def get_system(tag: str) -> RootSystemData:
-    tag = normalize_tag(tag)
-    if tag not in _SYSTEMS:
-        _SYSTEMS[tag] = root_system(tag)
-    return _SYSTEMS[tag]
+    return RootSystemData(tag, cartan, weyl, orbits)
 
 
 # -- the exponential-invariant map ------------------------------------------
@@ -159,7 +130,7 @@ def orbit_sum(orbit, point) -> complex:
     )
 
 
-def phi(data: RootSystemData, point, ordering=(0, 1)):
+def phi(data: RootSystemData, point, ordering):
     """(phi_1, phi_2) at a torus point, under the calibrated orbit ordering."""
     return (
         orbit_sum(data.orbits[ordering[0]], point),
@@ -167,12 +138,15 @@ def phi(data: RootSystemData, point, ordering=(0, 1)):
     )
 
 
-def reduce_point(point):
-    return (point[0] % 1.0, point[1] % 1.0)
-
-
 def scale_point(point, n: int):
     return (n * point[0], n * point[1])
+
+
+def _residual(data: RootSystemData, ordering, fmap, n: int, point) -> float:
+    """Larger coordinate error of Phi(n p) = F_n(Phi(p)) at the torus point p."""
+    scaled = phi(data, scale_point(point, n), ordering)
+    mapped = fmap.evaluate_complex(phi(data, point, ordering))
+    return max(abs(scaled[0] - mapped[0]), abs(scaled[1] - mapped[1]))
 
 
 def dual_action(matrix, point):
@@ -195,43 +169,24 @@ class Calibration:
     max_residual: float
 
 
-_CALIBRATIONS: dict[str, Calibration] = {}
-
-
-def calibrate(tag: str, points: int = 24, tol: float = 1e-9) -> Calibration:
+@functools.cache
+def calibrate(tag: str) -> Calibration:
     """Fix which orbit sum feeds which plane coordinate.
 
-    Tests Phi(2p) = F_2(Phi(p)) for both orderings on random sample points;
-    exactly one ordering can match, and a match validates the root data
-    end to end.  The result is cached per family.
+    Tests Phi(2p) = F_2(Phi(p)) for both orderings on 24 random sample
+    points; exactly one ordering can match, and a match validates the root
+    data end to end.  The result is cached per family.
     """
     tag = normalize_tag(tag)
-    cached = _CALIBRATIONS.get(tag)
-    if cached is not None:
-        return cached
     data = get_system(tag)
     f2 = fold(tag, 2)
     rng = random.Random(0xC0FFEE)
-    sample = [(rng.random(), rng.random()) for _ in range(points)]
-    match = None
+    sample = [(rng.random(), rng.random()) for _ in range(24)]
     for ordering in ((0, 1), (1, 0)):
-        worst = 0.0
-        for p in sample:
-            image = phi(data, p, ordering)
-            doubled = phi(data, scale_point(p, 2), ordering)
-            mapped = f2.evaluate_complex(image)
-            worst = max(
-                worst,
-                abs(doubled[0] - mapped[0]),
-                abs(doubled[1] - mapped[1]),
-            )
-        if worst < tol:
-            match = Calibration(tag, ordering, worst)
-            break
-    if match is None:
-        raise CalibrationError(f"neither orbit ordering matches F_2 for {tag}")
-    _CALIBRATIONS[tag] = match
-    return match
+        worst = max(_residual(data, ordering, f2, 2, p) for p in sample)
+        if worst < 1e-9:
+            return Calibration(tag, ordering, worst)
+    raise CalibrationError(f"neither orbit ordering matches F_2 for {tag}")
 
 
 @dataclass
@@ -294,14 +249,7 @@ def check_scaling(tag: str, n: int, trials: int = 100, tol: float = 1e-7,
     report = ScalingReport(tag, n, trials, tol, seed)
     for _ in range(trials):
         p = (rng.random(), rng.random())
-        image = phi(data, p, cal.ordering)
-        scaled = phi(data, scale_point(p, n), cal.ordering)
-        mapped = fmap.evaluate_complex(image)
-        report.max_residual = max(
-            report.max_residual,
-            abs(scaled[0] - mapped[0]),
-            abs(scaled[1] - mapped[1]),
-        )
+        report.max_residual = max(report.max_residual, _residual(data, cal.ordering, fmap, n, p))
     return report
 
 

@@ -69,6 +69,7 @@ def test_usage_error_codes(capsys):
     assert run(capsys, "gen", "--family", "f4", "--n", "1")[0] == 64
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "bench")[0] == 64  # benchmarks live in perfbench/
+    assert run(capsys, "report", "--suite", "proj", "--format", "latex")[0] == 64
 
 
 def test_aut_solve_and_claimed(capsys):

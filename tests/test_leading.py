@@ -6,7 +6,6 @@ from foldmap import leading
 from foldmap.folding import fold
 from foldmap.leading import (
     ExpansionRangeError,
-    TermSpec,
     _build_terms,
     g2_x_slice_mismatch,
     g2_y_check,
@@ -35,10 +34,10 @@ def test_a_family_predictions():
 
 def test_negative_exponent_guard():
     with pytest.raises(ValueError):
-        _build_terms(XY_VARS, [TermSpec(5, (-1, 2))], slack=3)
+        _build_terms(XY_VARS, [(5, (-1, 2))], slack=3)
     # zero coefficient or exact-equality slack are the two legal escapes
-    assert _build_terms(XY_VARS, [TermSpec(0, (-1, 2))], slack=3).is_zero()
-    assert _build_terms(XY_VARS, [TermSpec(5, (-1, 2))], slack=-1).is_zero()
+    assert _build_terms(XY_VARS, [(0, (-1, 2))], slack=3).is_zero()
+    assert _build_terms(XY_VARS, [(5, (-1, 2))], slack=-1).is_zero()
 
 
 def test_range_guards():
@@ -48,14 +47,17 @@ def test_range_guards():
 
 
 def test_b_family_structure():
-    spec = predicted("b2", 6)
-    px, py = spec.checks
-    assert px.predicted == Poly(
-        XY_VARS, {(6, 0): 1, (4, 1): -6, (4, 0): -6, (2, 2): 9}
-    )
-    assert px.slack == 3
-    assert py.predicted == Poly(XY_VARS, {(0, 6): 1, (2, 4): -6})
-    assert py.slack == 5 and py.factor_exps == (3, 0) and py.factor_slack == 3
+    cases = [
+        (6, {(6, 0): 1, (4, 1): -6, (4, 0): -6, (2, 2): 9}, {(0, 6): 1, (2, 4): -6}),
+        # n = 3: the x^{-1} y^2 term of the shared head has coefficient 0 and is dropped
+        (3, {(3, 0): 1, (1, 1): -3, (1, 0): -3}, {(0, 3): 1, (2, 1): -3}),
+    ]
+    for n, x_terms, y_terms in cases:
+        px, py = predicted("b2", n).checks
+        assert px.predicted == Poly(XY_VARS, x_terms)
+        assert px.slack == n - 3
+        assert py.predicted == Poly(XY_VARS, y_terms)
+        assert py.slack == n - 1 and py.factor_exps == (3, 0) and py.factor_slack == n - 3
 
 
 def test_g_family_y_leading():
@@ -67,11 +69,15 @@ def test_g_family_y_leading():
 
 
 def test_g7_x_expansion_values():
-    check = predicted("g2", 7).checks[0]
-    assert check.predicted == Poly(
-        XY_VARS, {(7, 0): 1, (5, 1): -7, (3, 2): 14, (4, 1): -7, (5, 0): -21}
-    )
-    assert check.slack == 4
+    cases = [
+        (7, {(7, 0): 1, (5, 1): -7, (3, 2): 14, (4, 1): -7, (5, 0): -21}),
+        # n = 5, the lowest n of the expansion: the head's x y^2 term is present
+        (5, {(5, 0): 1, (3, 1): -5, (1, 2): 5, (2, 1): -5, (3, 0): -15}),
+    ]
+    for n, terms in cases:
+        check = predicted("g2", n).checks[0]
+        assert check.predicted == Poly(XY_VARS, terms)
+        assert check.slack == n - 3
 
 
 @pytest.mark.parametrize("n", range(2, 26))

@@ -52,3 +52,5 @@ def test_report_exit_codes_and_case_fields():
     assert stalled.to_json_obj()["note"] == "why"
     assert wrong.to_json_obj()["witness"] == [1, [7, 0], "5/2"]
     assert "note" not in wrong.to_json_obj()
+    bare = CaseRecord("s", "bare", {}, FAIL)
+    assert "witness" not in bare.to_json_obj()
