@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from math import comb, gcd
 
 from .cyclo import (
-    CycloElem,
     coef_components,
     coef_div,
+    coef_simplify,
     roots_of_unity,
     unity_order,
 )
@@ -64,7 +64,7 @@ class AffineMap2:
     def __init__(self, coeffs, model: str):
         if len(coeffs) != 6:
             raise ValueError("an affine plane map needs six coefficients")
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(coef_simplify(c) for c in coeffs)
         self.model = model
 
     @classmethod
@@ -76,7 +76,7 @@ class AffineMap2:
         return a * e - b * d
 
     def is_invertible(self) -> bool:
-        return bool(CycloElem.from_coef(self.det()))
+        return bool(self.det())
 
     def as_polymap(self, vars) -> PolyMap2:
         a, b, c, d, e, f = self.coeffs
@@ -112,13 +112,10 @@ class AffineMap2:
     def __eq__(self, other):
         if not isinstance(other, AffineMap2):
             return NotImplemented
-        return self.model == other.model and all(
-            CycloElem.from_coef(p) == CycloElem.from_coef(q)
-            for p, q in zip(self.coeffs, other.coeffs)
-        )
+        return self.model == other.model and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.model, tuple(coef_components(c) for c in self.coeffs)))
+        return hash((self.model, self.coeffs))
 
     def to_json_obj(self) -> dict:
         return {
@@ -218,7 +215,7 @@ def claimed_group(tag: str, n: int) -> SolutionSet:
     if n < 2:
         raise ValueError("automorphism groups are stated for n >= 2")
     if tag == "a2":
-        zetas = roots_of_unity(3) if n % 3 == 1 else [CycloElem(1)]
+        zetas = roots_of_unity(3) if n % 3 == 1 else [1]
         elements = []
         for z in zetas:
             z2 = z * z
@@ -624,7 +621,7 @@ class _Engine:
         # certify against the untouched leading system, then against F itself:
         # the leading system only narrows the search to finitely many candidates
         for p in self.original.values():
-            if CycloElem.from_coef(p.evaluate(values)) != 0:
+            if p.evaluate(values):
                 return None
         if not is_member(candidate, self.fmap):
             return None

@@ -70,6 +70,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    tag = None if args.family == "all" else normalize_tag(args.family)
     config = {"seed": args.seed, "jobs": args.jobs}
     if args.max_n is not None:
         smallest = suites.SMALLEST_MAX_N[args.what]
@@ -90,8 +91,7 @@ def cmd_verify(args) -> int:
                 leading_max_g=args.max_n,
             )
     report = suites.run_suite(args.what, config)
-    if args.family != "all":
-        tag = normalize_tag(args.family)
+    if tag is not None:
         report.cases = [c for c in report.cases if c.inputs.get("family") == tag]
         if not report.cases:
             raise ValueError(f"verify {args.what} has no {tag} case up to this --max-n")

@@ -6,10 +6,13 @@ the smallest field containing both i = z^3 and the primitive cube roots of
 unity (zeta_3 = z^4 = z^2 - 1), i.e. every scalar the folding-map theorems
 need.
 
-Polynomial coefficients elsewhere in the package are plain ints / rationals
-whenever they happen to lie on the rational line; CycloElem is the full
-coefficient field those numbers embed into.  The helpers at the bottom
-(coef_*) operate uniformly on either representation.
+This module makes the canonical coefficient form used everywhere else: a
+value on the rational line is a plain int or Fraction, and a CycloElem
+always has a nonzero z, z^2 or z^3 part.  Every operation that can land
+on the rational line (+, -, *, /, inverse, **) returns its result through
+_canonical_elem, so callers never collapse a rational CycloElem themselves;
+only a CycloElem built directly from four components can still be rational.
+The helpers at the bottom (coef_*) operate uniformly on either form.
 """
 
 from __future__ import annotations
@@ -32,17 +35,8 @@ class CycloElem:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_coef(cls, value) -> "CycloElem":
-        """Embed an int / rational, or pass a CycloElem through."""
-        if isinstance(value, CycloElem):
-            return value
-        if is_rational(value):
-            return cls(value)
-        raise TypeError(f"cannot embed {type(value).__name__} in Q(zeta_12)")
-
-    @classmethod
-    def zeta_pow(cls, k: int) -> "CycloElem":
-        """z^k for any integer k (reduced mod 12)."""
+    def zeta_pow(cls, k: int):
+        """z^k for any integer k (reduced mod 12); z^0 = 1 and z^6 = -1 are ints."""
         return _ZETA_POWERS[k % 12]
 
     # -- predicates / accessors ---------------------------------------
@@ -54,11 +48,6 @@ class CycloElem:
     def is_rational(self) -> bool:
         return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
-
     def __bool__(self) -> bool:
         return self.c != (0, 0, 0, 0)
 
@@ -67,25 +56,25 @@ class CycloElem:
     def __add__(self, other):
         if isinstance(other, CycloElem):
             a, b = self.c, other.c
-            return CycloElem(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+            return _canonical_elem(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
         if is_rational(other):
             a = self.c
-            return CycloElem(a[0] + other, a[1], a[2], a[3])
+            return _canonical_elem(a[0] + other, a[1], a[2], a[3])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self.c
-        return CycloElem(-a[0], -a[1], -a[2], -a[3])
+        return _canonical_elem(-a[0], -a[1], -a[2], -a[3])
 
     def __sub__(self, other):
         if isinstance(other, CycloElem):
             a, b = self.c, other.c
-            return CycloElem(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+            return _canonical_elem(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
         if is_rational(other):
             a = self.c
-            return CycloElem(a[0] - other, a[1], a[2], a[3])
+            return _canonical_elem(a[0] - other, a[1], a[2], a[3])
         return NotImplemented
 
     def __rsub__(self, other):
@@ -102,21 +91,22 @@ class CycloElem:
             c4 = a[1] * b[3] + a[2] * b[2] + a[3] * b[1]
             c5 = a[2] * b[3] + a[3] * b[2]
             c6 = a[3] * b[3]
-            return CycloElem(c0 - c4 - c6, c1 - c5, c2 + c4, c3 + c5)
+            return _canonical_elem(c0 - c4 - c6, c1 - c5, c2 + c4, c3 + c5)
         if is_rational(other):
             a = self.c
-            return CycloElem(a[0] * other, a[1] * other, a[2] * other, a[3] * other)
+            return _canonical_elem(a[0] * other, a[1] * other, a[2] * other, a[3] * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CycloElem":
+    def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta_12)")
+        if self.is_rational():
+            return _inv_rat(self.c[0])
         # product of the other Galois conjugates over the field norm
         cofactor = self.galois(5) * self.galois(7) * self.galois(11)
-        norm = (self * cofactor).rational_value()
-        return cofactor * _inv_rat(norm)
+        return cofactor * _inv_rat(self * cofactor)
 
     def __truediv__(self, other):
         if isinstance(other, CycloElem):
@@ -137,7 +127,7 @@ class CycloElem:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE
+        result = 1
         base = self
         while n:
             if n & 1:
@@ -202,18 +192,26 @@ class CycloElem:
         return out or "0"
 
 
+def _canonical_elem(c0, c1, c2, c3):
+    """c0 + c1*z + c2*z^2 + c3*z^3 in canonical form: the plain int or
+    Fraction c0 when the z, z^2 and z^3 parts vanish, else a CycloElem."""
+    if c1 == 0 and c2 == 0 and c3 == 0:
+        return as_exact(c0)
+    return CycloElem(c0, c1, c2, c3)
+
+
 def _inv_rat(value):
     return as_exact(rat(1, 1) / rat(value))
 
 
 _ZETA_POWERS = (
-    CycloElem(1, 0, 0, 0),
+    1,
     CycloElem(0, 1, 0, 0),
     CycloElem(0, 0, 1, 0),
     CycloElem(0, 0, 0, 1),
     CycloElem(-1, 0, 1, 0),
     CycloElem(0, -1, 0, 1),
-    CycloElem(-1, 0, 0, 0),
+    -1,
     CycloElem(0, -1, 0, 0),
     CycloElem(0, 0, -1, 0),
     CycloElem(0, 0, 0, -1),
@@ -221,7 +219,6 @@ _ZETA_POWERS = (
     CycloElem(0, 1, 0, -1),
 )
 
-ONE = CycloElem(1)
 ZETA = CycloElem.zeta_pow(1)
 I_UNIT = CycloElem.zeta_pow(3)
 ZETA3 = CycloElem.zeta_pow(4)
@@ -238,13 +235,9 @@ def roots_of_unity(order: int):
 
 def unity_order(value) -> int | None:
     """Multiplicative order of a root of unity, or None if not one."""
-    elem = CycloElem.from_coef(value)
-    if elem ** 12 != ONE:
+    if value**12 != 1:
         return None
-    for d in (1, 2, 3, 4, 6, 12):
-        if elem**d == ONE:
-            return d
-    return None
+    return next(d for d in (1, 2, 3, 4, 6, 12) if value**d == 1)
 
 
 # -- helpers over mixed coefficients (int | rational | CycloElem) --------
@@ -270,7 +263,7 @@ def coef_to_complex(c) -> complex:
 def coef_div(a, b):
     """Exact division of mixed coefficients."""
     if isinstance(a, CycloElem) or isinstance(b, CycloElem):
-        return CycloElem.from_coef(a) / CycloElem.from_coef(b)
+        return a / b
     if b == 0:
         raise ZeroDivisionError("division by zero")
     return as_exact(rat(a) / rat(b))

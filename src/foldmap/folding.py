@@ -67,17 +67,16 @@ _B2_YM = _p({(2, 0): 1, (0, 1): -2, (0, 0): -2})                  # x^2 - 2y - 2
 
 @dataclass(frozen=True)
 class FoldingFamily:
-    tag: str
     model: str
     symmetric: tuple    # per stored coordinate: (e_1, ..., e_K), e_K = 1
 
 
 # e_k is e_{K-k}: a mirror pair is one object, so _power_sum takes one product
 FAMILIES = {
-    "a2": FoldingFamily("a2", ZW, ((_Z, _W, 1),)),
-    "b2": FoldingFamily("b2", XY, ((_X, _B2_XM, _X, 1), (_Y, _B2_YM, _Y, 1))),
-    "g2": FoldingFamily("g2", XY, ((_X, _G2_XM, _G2_XQ, _G2_XM, _X, 1),
-                                   (_Y, _G2_YM, _G2_YQ, _G2_YM, _Y, 1))),
+    "a2": FoldingFamily(ZW, ((_Z, _W, 1),)),
+    "b2": FoldingFamily(XY, ((_X, _B2_XM, _X, 1), (_Y, _B2_YM, _Y, 1))),
+    "g2": FoldingFamily(XY, ((_X, _G2_XM, _G2_XQ, _G2_XM, _X, 1),
+                             (_Y, _G2_YM, _G2_YQ, _G2_YM, _Y, 1))),
 }
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .folding import fold, normalize_tag
 from .poly import XY_VARS, ZW_VARS, Poly
-from .rationals import as_exact, rat
 
 
 class ExpansionRangeError(ValueError):
@@ -79,8 +78,8 @@ def _build_terms(vars, terms: list[tuple], slack: int) -> Poly:
 def _head(n: int) -> list[tuple]:
     """x^n - n x^{n-2}y + (n^2 - 3n)/2 x^{n-4}y^2, the three terms the a2,
     b2-x and g2-x expansions start with (B2's printed n(n-3)/2 is the same
-    number)."""
-    return [(1, (n, 0)), (-n, (n - 2, 1)), (as_exact(rat(n * n - 3 * n, 2)), (n - 4, 2))]
+    number; n(n-3) is always even, so the coefficient is an int)."""
+    return [(1, (n, 0)), (-n, (n - 2, 1)), ((n * n - 3 * n) // 2, (n - 4, 2))]
 
 
 def predicted(tag: str, n: int) -> LeadingSpec:

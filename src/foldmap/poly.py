@@ -10,9 +10,14 @@ term-merge kernels in backend.py.  Substitution comes in two shapes:
 `substitute` maps every context variable to an image, possibly in a new
 context (one recursive Horner scheme for every number of variables), and
 `substitute_var` replaces one variable within the same context and leaves
-a polynomial that does not contain it untouched.  Ring operations and both
-substitutions return coefficients in canonical form: a CycloElem whose
-value is rational is stored as the plain int or Fraction.
+a polynomial that does not contain it untouched.
+
+Coefficients are kept in the canonical form that cyclo.py makes: a value
+on the rational line is a plain int or Fraction, never a CycloElem.  Ring
+operations and substitutions need no pass of their own for this, because
+every CycloElem operation already returns that form; values from outside
+(the constructor, Poly.constant, scalar operands, map_coefficients) are
+checked and brought into it by _exact_coef.
 
 Canonical term order everywhere (printing, JSON, witnesses): graded
 lexicographic with the first context variable major, highest terms first.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from .backend import add_terms, mul_terms, scale_terms
 from .cyclo import (
+    I_UNIT,
     CycloElem,
     coef_components,
     coef_conj,
@@ -39,16 +45,6 @@ ZW_VARS = ("z", "w")
 def grlex_key(exps):
     """Sort key for graded-lex order, first variable major."""
     return (sum(exps), exps)
-
-
-def _canonical(terms):
-    """Collapse rational-valued CycloElem coefficients of terms in place."""
-    # the type scan runs in C; the loop only runs when a CycloElem is present
-    if CycloElem in set(map(type, terms.values())):
-        for e, c in terms.items():
-            if type(c) is CycloElem and c.is_rational():
-                terms[e] = c.c[0]
-    return terms
 
 
 def _exact_coef(c):
@@ -158,9 +154,7 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check_context(other)
-            return Poly(
-                self.vars, _canonical(add_terms(self.terms, other.terms)), _internal=True
-            )
+            return Poly(self.vars, add_terms(self.terms, other.terms), _internal=True)
         return self + Poly.constant(self.vars, other)
 
     __radd__ = __add__
@@ -168,9 +162,7 @@ class Poly:
     def __sub__(self, other):
         if isinstance(other, Poly):
             self._check_context(other)
-            return Poly(
-                self.vars, _canonical(add_terms(self.terms, other.terms, -1)), _internal=True
-            )
+            return Poly(self.vars, add_terms(self.terms, other.terms, -1), _internal=True)
         return self - Poly.constant(self.vars, other)
 
     def __rsub__(self, other):
@@ -182,13 +174,11 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_context(other)
-            return Poly(
-                self.vars, _canonical(mul_terms(self.terms, other.terms)), _internal=True
-            )
+            return Poly(self.vars, mul_terms(self.terms, other.terms), _internal=True)
         other = _exact_coef(other)
         if not other:
             return Poly.zero(self.vars)
-        return Poly(self.vars, _canonical(scale_terms(self.terms, other)), _internal=True)
+        return Poly(self.vars, scale_terms(self.terms, other), _internal=True)
 
     __rmul__ = __mul__
 
@@ -254,7 +244,7 @@ class Poly:
         for _ in range(max(e[0] for e in self.terms)):
             powers.append(mul_terms(powers[-1], first))
         terms = _subst(self.terms, [p.terms for p in imgs], powers)
-        return Poly(target, _canonical(terms), _internal=True)
+        return Poly(target, terms, _internal=True)
 
     def substitute_var(self, name, image) -> "Poly":
         """Replace the single variable `name` by image, in the same context.
@@ -283,7 +273,7 @@ class Poly:
                 power = mul_terms(power, image.terms)
             done = j
             acc = add_terms(acc, mul_terms(slices[j], power))
-        return Poly(self.vars, _canonical(acc), _internal=True)
+        return Poly(self.vars, acc, _internal=True)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -332,9 +322,7 @@ class Poly:
         vars = tuple(obj["vars"])
         terms = {}
         for entry in obj["terms"]:
-            comps = [rat_from_str(s) for s in entry["c"]]
-            coef = comps[0] if comps[1] == comps[2] == comps[3] == 0 else CycloElem(*comps)
-            terms[tuple(entry["e"])] = coef
+            terms[tuple(entry["e"])] = CycloElem(*(rat_from_str(s) for s in entry["c"]))
         return cls(vars, terms)
 
     def _render(self, mul_sep: str, pow_fmt) -> str:
@@ -479,6 +467,9 @@ class PolyMap2:
         return f"PolyMap2[{self.model}:{self.label}]({self.first}, {self.second})"
 
 
+_MINUS_HALF_I = CycloElem(0, 0, 0, rat(-1, 2))  # 1/(2i)
+
+
 class RealFormError(ValueError):
     """Raised when a ZW map has no real (x, y) form."""
 
@@ -497,17 +488,12 @@ def zw_to_xy(m: PolyMap2) -> PolyMap2:
         raise RealFormError(
             f"map has no real form; conjugate residue {residue}"
         )
-    i_unit = CycloElem.zeta_pow(3)
     x = Poly.variable(XY_VARS, "x")
     y = Poly.variable(XY_VARS, "y")
-    z_img = x + i_unit * y
-    w_img = x - i_unit * y
     zvar, wvar = m.first.vars
-    q = m.first.substitute({zvar: z_img, wvar: w_img})
-    half = CycloElem(rat(1, 2))
-    minus_half_i = CycloElem(0, 0, 0, rat(-1, 2))
-    u = q.map_coefficients(lambda c: (CycloElem.from_coef(c) + coef_conj(CycloElem.from_coef(c))) * half)
-    v = q.map_coefficients(lambda c: (CycloElem.from_coef(c) - coef_conj(CycloElem.from_coef(c))) * minus_half_i)
+    q = m.first.substitute({zvar: x + I_UNIT * y, wvar: x - I_UNIT * y})
+    u = q.map_coefficients(lambda c: (c + coef_conj(c)) * rat(1, 2))
+    v = q.map_coefficients(lambda c: (c - coef_conj(c)) * _MINUS_HALF_I)
     return PolyMap2(u, v, XY, m.label)
 
 
@@ -517,12 +503,7 @@ def xy_to_zw(m: PolyMap2) -> PolyMap2:
         raise ValueError("xy_to_zw needs an XY-model map")
     z = Poly.variable(ZW_VARS, "z")
     w = Poly.variable(ZW_VARS, "w")
-    half = CycloElem(rat(1, 2))
-    minus_half_i = CycloElem(0, 0, 0, rat(-1, 2))
-    x_img = (z + w) * half
-    y_img = (z - w) * minus_half_i
     xvar, yvar = m.first.vars
-    images = {xvar: x_img, yvar: y_img}
-    i_unit = CycloElem.zeta_pow(3)
-    first = m.first.substitute(images) + i_unit * m.second.substitute(images)
+    images = {xvar: (z + w) * rat(1, 2), yvar: (z - w) * _MINUS_HALF_I}
+    first = m.first.substitute(images) + I_UNIT * m.second.substitute(images)
     return PolyMap2(first, swap_conjugate(first), ZW, m.label)

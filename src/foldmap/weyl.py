@@ -65,8 +65,6 @@ def _mat_inv_transpose(m):
 
 @dataclass(frozen=True)
 class RootSystemData:
-    tag: str
-    cartan: tuple
     weyl: tuple                         # all group elements, weight basis
     orbits: tuple                       # (orbit of w1, orbit of w2)
 
@@ -117,7 +115,7 @@ def get_system(tag: str) -> RootSystemData:
             f"expected {WEYL_ORDER[tag]}"
         )
     orbits = (_orbit(weyl, (1, 0)), _orbit(weyl, (0, 1)))
-    return RootSystemData(tag, cartan, weyl, orbits)
+    return RootSystemData(weyl, orbits)
 
 
 # -- the exponential-invariant map ------------------------------------------
@@ -164,7 +162,6 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class Calibration:
-    tag: str
     ordering: tuple
     max_residual: float
 
@@ -185,7 +182,7 @@ def calibrate(tag: str) -> Calibration:
     for ordering in ((0, 1), (1, 0)):
         worst = max(_residual(data, ordering, f2, 2, p) for p in sample)
         if worst < 1e-9:
-            return Calibration(tag, ordering, worst)
+            return Calibration(ordering, worst)
     raise CalibrationError(f"neither orbit ordering matches F_2 for {tag}")
 
 

@@ -106,6 +106,14 @@ def test_zw_to_xy_conversion_is_real():
         AffineMap2((ZETA3, 0, 0, 0, 1, 0), ZW).zw_to_xy()
 
 
+def test_affine_entries_are_canonical():
+    m = AffineMap2((CycloElem(1), 0, 0, 0, CycloElem(1), 0), XY)
+    identity = AffineMap2.identity(XY)
+    assert m == identity and hash(m) == hash(identity)
+    assert m.coeffs == (1, 0, 0, 0, 1, 0)
+    assert type(m.coeffs[0]) is int and type(m.coeffs[4]) is int
+
+
 def test_s3_permutes_triangle_vertices():
     """The converted S3 elements permute the cube-root triangle exactly."""
     half = CycloElem(rat(1, 2))
@@ -125,8 +133,7 @@ def test_s3_permutes_triangle_vertices():
             img = real.apply_point(v)
             idx = next(
                 (k for k, u in enumerate(vertices)
-                 if CycloElem.from_coef(img[0]) == u[0]
-                 and CycloElem.from_coef(img[1]) == u[1]),
+                 if img[0] == u[0] and img[1] == u[1]),
                 None,
             )
             assert idx is not None, (m, img)

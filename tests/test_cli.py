@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from foldmap import suites
 from foldmap.cli import main
 from foldmap.folding import fold, half_fold
 from foldmap.poly import PolyMap2
@@ -70,6 +71,15 @@ def test_usage_error_codes(capsys):
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "bench")[0] == 64  # benchmarks live in perfbench/
     assert run(capsys, "report", "--suite", "proj", "--format", "latex")[0] == 64
+
+
+def test_verify_rejects_unknown_family_before_running(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite ran for an unknown --family")
+
+    monkeypatch.setattr(suites, "run_suite", refuse)
+    code, out, err = run(capsys, "verify", "commute", "--family", "zz", "--max-n", "10")
+    assert code == 64 and out == "" and "zz" in err
 
 
 def test_aut_solve_and_claimed(capsys):

@@ -8,14 +8,17 @@ from hypothesis import given, settings, strategies as st
 from foldmap.cyclo import (
     CycloElem,
     I_UNIT,
+    SQRT3,
     ZETA,
     ZETA3,
     coef_components,
     coef_conj,
     coef_div,
+    coef_to_complex,
     roots_of_unity,
     unity_order,
 )
+from foldmap.rationals import as_exact
 
 
 def brute_zeta_power(k):
@@ -63,7 +66,7 @@ def test_arith_examples():
 
 def test_zeta_power_table_matches_bruteforce():
     for k in range(30):
-        assert list(CycloElem.zeta_pow(k).components) == brute_zeta_power(k)
+        assert list(coef_components(CycloElem.zeta_pow(k))) == brute_zeta_power(k)
 
 
 def test_division():
@@ -94,8 +97,8 @@ def test_ring_axioms(a, b, c):
 @given(elems, elems)
 def test_conj_is_order_two_automorphism(a, b):
     assert a.conj().conj() == a
-    assert (a + b).conj() == a.conj() + b.conj()
-    assert (a * b).conj() == a.conj() * b.conj()
+    assert coef_conj(a + b) == a.conj() + b.conj()
+    assert coef_conj(a * b) == a.conj() * b.conj()
     assert list((a.conj()).components) == brute_conj(a.components)
 
 
@@ -109,7 +112,7 @@ def test_inverse(a):
 def test_roots_of_unity():
     for g in (1, 2, 3, 4, 6, 12):
         roots = roots_of_unity(g)
-        assert len(roots) == len(set(tuple(r.components) for r in roots)) == g
+        assert len(roots) == len(set(tuple(coef_components(r)) for r in roots)) == g
         assert all(r**g == 1 for r in roots)
     assert sorted(unity_order(r) for r in roots_of_unity(6)) == [1, 2, 3, 3, 6, 6]
     with pytest.raises(ValueError):
@@ -123,9 +126,88 @@ def test_mixed_coefficient_helpers():
     assert coef_components(5) == (5, 0, 0, 0)
     assert coef_div(1, 2) * 2 == 1
     assert coef_div(ZETA, ZETA) == 1
-    assert CycloElem.from_coef(3) == 3
-    with pytest.raises(TypeError):
-        CycloElem.from_coef(1.5)
+
+
+def is_canonical(value):
+    """A CycloElem with a nonzero z, z^2 or z^3 part, an int, or a Fraction
+    that is not an integer."""
+    if isinstance(value, CycloElem):
+        return not value.is_rational()
+    return type(value) is int or (type(value) is Fraction and value.denominator != 1)
+
+
+def test_rational_results_are_plain_numbers():
+    assert CycloElem.zeta_pow(0) == 1 and type(CycloElem.zeta_pow(0)) is int
+    assert CycloElem.zeta_pow(6) == -1 and type(CycloElem.zeta_pow(6)) is int
+    for value, expected in [
+        (ZETA**6, -1),
+        (ZETA**12, 1),
+        (I_UNIT * I_UNIT, -1),
+        (SQRT3 * SQRT3, 3),
+        ((SQRT3 / 2) ** 2, Fraction(3, 4)),
+        (ZETA3 + ZETA3.conj(), -1),
+        (SQRT3 - SQRT3, 0),
+        (SQRT3 / SQRT3, 1),
+        (ZETA**-6, -1),
+        # a CycloElem built directly from components may be rational
+        (CycloElem(2).inverse(), Fraction(1, 2)),
+        (CycloElem(Fraction(1, 2)).inverse(), 2),
+    ]:
+        assert value == expected and type(value) is type(expected), value
+
+
+def _scaled(base, r):
+    """base * r, built from components so the operation under test is not used."""
+    return CycloElem(*(c * r for c in coef_components(base)))
+
+
+canonical_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4).map(as_exact)
+nonzero_rats = canonical_rats.filter(bool)
+irrationals = st.one_of(
+    elems.filter(lambda e: not e.is_rational()),
+    # unit multiples, so that products and powers often land on the rational line
+    st.builds(
+        lambda k, r: _scaled(CycloElem.zeta_pow(k), r),
+        st.integers(0, 11).filter(lambda k: k % 6),
+        nonzero_rats,
+    ),
+    st.builds(lambda r: _scaled(SQRT3, r), nonzero_rats),
+)
+
+
+def _partner(a, r):
+    """r - a, built from components: a + partner lands on the rational r."""
+    c0, c1, c2, c3 = a.c
+    return CycloElem(r - c0, -c1, -c2, -c3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_operations_return_canonical_values(data):
+    a = data.draw(irrationals)
+    b = data.draw(
+        st.one_of(canonical_rats, irrationals, st.builds(_partner, st.just(a), canonical_rats))
+    )
+    if isinstance(b, CycloElem) and b.is_rational():
+        b = b.c[0]
+    m = data.draw(st.integers(-4, 6))
+    za, zb = coef_to_complex(a), coef_to_complex(b)
+    results = [
+        (a + b, za + zb), (b + a, za + zb),
+        (a - b, za - zb), (b - a, zb - za),
+        (a * b, za * zb), (b * a, za * zb),
+        (-a, -za), (a / 1, za),
+        (a.inverse(), 1 / za), (b / a, zb / za),
+        (a**m, za**m),
+    ]
+    if b:
+        results.append((a / b, za / zb))
+    for k in (1, 5, 7, 11):
+        results.append((a.galois(k), None))
+    for value, expected in results:
+        assert is_canonical(value), (a, b, m, value)
+        if expected is not None:
+            assert abs(coef_to_complex(value) - expected) <= 1e-9 * max(1, abs(expected))
 
 
 def test_complex_embedding():
