@@ -26,9 +26,12 @@ of recorded unknowns are reduced mod the recorded order, and recorded-unit
 monomial factors are cancelled.  When no rule applies, a recorded unknown
 with order dividing 12 is enumerated over the exact roots of unity in
 Q(zeta_12); a stall with any other order is reported as unresolved rather
-than guessed at.  Every concrete branch solution is a candidate: it is
-certified against the engine's leading system and then by is_member against
-the full F before it is returned, so a complete run gives the exact group.
+than guessed at.  Each rule builds its successor itself: R2 and R3 return
+the one rewritten state, R1 and the enumeration the list of child states,
+and a branch that stalls records one digest of its state and ends.  Every
+concrete branch solution is a candidate: it is certified against the
+engine's leading system and then by is_member against the full F before it
+is returned, so a complete run gives the exact group.
 The constraint order decides how fast the search finishes, and whether it
 does within the depth cap, but not the solution set of a complete run.
 """
@@ -46,7 +49,7 @@ from .cyclo import (
     unity_order,
 )
 from .folding import compose, fold, normalize_tag
-from .poly import XY, ZW, ZW_VARS, Poly, PolyMap2, grlex_key, zw_to_xy
+from .poly import XY, ZW, ZW_VARS, Poly, PolyMap2, zw_to_xy
 from .rationals import rat, rat_str
 
 UNKNOWNS = ("a", "b", "c", "d", "e", "f")
@@ -394,48 +397,42 @@ def _normalize(p: Poly, records: dict) -> Poly:
     return p
 
 
-def _linear_split(p: Poly, var_index: int):
-    """(L, R) with p = L*v + R when p is linear in v; None otherwise."""
-    lin, rest = {}, {}
-    for exps, coef in p.terms.items():
-        ev = exps[var_index]
-        if ev == 0:
-            rest[exps] = coef
-        elif ev == 1:
-            reduced = list(exps)
-            reduced[var_index] = 0
-            lin[tuple(reduced)] = coef
-        else:
-            return None
-    if not lin:
+def _linear_image(p: Poly, var_index: int, records: dict):
+    """R2's image of v = UNKNOWNS[var_index], or None.
+
+    p must be linear in v with a unit coefficient: p = coef * m * v + r with
+    v absent from r, and m a monomial in unknowns that carry records, so that
+    m^-1 = prod(u^(-e mod g)) is a monomial too.  The image is
+    -r * coef^-1 * m^-1 with its exponents reduced.
+    """
+    lead = [(exps, coef) for exps, coef in p.terms.items() if exps[var_index]]
+    if len(lead) != 1 or lead[0][0][var_index] != 1:
         return None
-    return (
-        Poly(UNKNOWNS, lin, _internal=True),
-        Poly(UNKNOWNS, rest, _internal=True),
+    ((exps, coef),) = lead
+    mono = [0 if k == var_index else e for k, e in enumerate(exps)]
+    if any(e and v not in records for v, e in zip(UNKNOWNS, mono)):
+        return None
+    inverse = tuple((-e) % records[v] if e else 0 for v, e in zip(UNKNOWNS, mono))
+    rest = {ex: co for ex, co in p.terms.items() if not ex[var_index]}
+    image = Poly(UNKNOWNS, rest, _internal=True) * Poly(
+        UNKNOWNS, {inverse: coef_div(1, coef)}, _internal=True
     )
+    return _reduce_exponents(-image, records)
 
 
-def _unit_monomial_inverse(exps, coef, records: dict):
-    """Inverse of coef * prod(v^e) when every v with e > 0 carries a record
-    v^g = 1: the single monomial coef^-1 * prod(v^(-e mod g))."""
-    if any(e and v not in records for v, e in zip(UNKNOWNS, exps)):
-        return None
-    inv = tuple((-e) % records[v] if e else 0 for v, e in zip(UNKNOWNS, exps))
-    return Poly(UNKNOWNS, {inv: coef_div(1, coef)}, _internal=True)
+_ORIGIN = (0,) * len(UNKNOWNS)
 
 
 def _as_power_equation(p: Poly):
     """Match a monic p == v^k - rhs with rhs constant; returns (v, k, rhs)."""
-    if len(p.terms) != 2:
+    constant = p.terms.get(_ORIGIN)
+    if len(p.terms) != 2 or constant is None:
         return None
-    items = sorted(p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-    (top_exps, top_coef), (low_exps, low_coef) = items
-    if top_coef != 1 or sum(low_exps) != 0:
+    ((exps, coef),) = (t for t in p.terms.items() if t[0] != _ORIGIN)
+    support = [k for k, e in enumerate(exps) if e]
+    if coef != 1 or len(support) != 1:
         return None
-    support = [k for k, e in enumerate(top_exps) if e > 0]
-    if len(support) != 1:
-        return None
-    return (UNKNOWNS[support[0]], top_exps[support[0]], -low_coef)
+    return (UNKNOWNS[support[0]], exps[support[0]], -constant)
 
 
 class _Engine:
@@ -453,17 +450,7 @@ class _Engine:
     def run(self):
         stack = [self.initial_state()]
         while stack:
-            outcome = self._process(stack.pop())
-            if outcome is None:
-                continue
-            kind, payload = outcome
-            if kind == "solution":
-                if payload not in self.solutions:
-                    self.solutions.append(payload)
-            elif kind == "branch":
-                stack.extend(payload)
-            else:
-                self.unresolved.append(payload)
+            stack.extend(self._process(stack.pop()))
 
     # -- state transforms ---------------------------------------------------
 
@@ -487,7 +474,8 @@ class _Engine:
 
     # -- main rewrite loop ----------------------------------------------------
 
-    def _process(self, state: ConstraintState):
+    def _process(self, state: ConstraintState) -> list:
+        """Rewrite one branch until it splits or ends: its children, or []."""
         while True:
             live = []
             seen = {}  # support -> live constraints with that support
@@ -496,7 +484,7 @@ class _Engine:
                 if q.is_zero():
                     continue
                 if q.is_constant():
-                    return None  # nonzero constant: inconsistent branch
+                    return []  # nonzero constant: inconsistent branch
                 twins = seen.setdefault(frozenset(q.terms), [])
                 if any(q.terms == r.terms for r in twins):
                     continue
@@ -504,43 +492,15 @@ class _Engine:
                 live.append(q)
             state.constraints = live
             if self._det_poly(state.subs).is_zero():
-                return None  # determinant forced to vanish identically
-            action = self._find_action(state)
-            if action is None:
-                return self._finish(state)
-            kind = action[0]
-            if kind == "sub":
-                state = self._with_sub(state, action[1], action[2])
-            elif kind == "record":
-                _, var, order, spent = action
-                g = gcd(state.records.get(var, 0), order)
-                if spent is not None:
-                    state.constraints = [p for p in state.constraints if p is not spent]
-                if g == 1:
-                    state.records.pop(var, None)
-                    state = self._with_sub(state, var, Poly.constant(UNKNOWNS, 1))
-                else:
-                    state.records[var] = g
-            elif kind == "branch":
-                if state.depth + 1 > self.depth_cap:
-                    return (
-                        "unresolved",
-                        {"reason": "branch depth cap exceeded", "state": _digest(state)},
-                    )
-                children = []
-                for br in action[1]:
-                    if br[0] == "set":
-                        child = self._with_sub(state, br[1], br[2])
-                    else:  # ("factor", constraint, cofactor)
-                        swapped = [br[2] if p is br[1] else p for p in state.constraints]
-                        child = ConstraintState(swapped, dict(state.subs), dict(state.records))
-                    child.depth = state.depth + 1
-                    children.append(child)
-                return ("branch", children)
-            else:
-                return ("unresolved", action[1])
+                return []  # determinant forced to vanish identically
+            step = self._step(state)
+            if isinstance(step, list):
+                return step
+            state = step
 
-    def _find_action(self, state: ConstraintState):
+    def _step(self, state: ConstraintState):
+        """Apply the first rule that fires: R2 and R3 return the rewritten
+        state, R1 and the enumeration the list of child states."""
         records = state.records
         for p in state.constraints:
             # R3: v^k = root of unity
@@ -550,91 +510,94 @@ class _Engine:
                 rho_order = unity_order(rhs)
                 if rho_order is not None:
                     old = records.get(var, 0)
-                    order = k * rho_order
-                    if rho_order == 1:
-                        # the record captures the constraint completely
-                        return ("record", var, order, p)
-                    if old == 0 or gcd(old, order) != old:
-                        # v^k = rho only implies v^(k*ord(rho)) = 1: sharpen
-                        # the record but keep the constraint for enumeration
-                        return ("record", var, order, None)
+                    g = gcd(old, k * rho_order)
+                    # v^k = 1 is captured by the record completely; v^k = rho
+                    # only implies v^(k*ord(rho)) = 1, so that constraint stays
+                    # for the enumeration and fires only to sharpen the record
+                    if rho_order == 1 or g != old:
+                        if rho_order == 1:
+                            state.constraints = [q for q in state.constraints if q is not p]
+                        if g == 1:
+                            return self._with_sub(state, var, Poly.constant(UNKNOWNS, 1))
+                        records[var] = g
+                        return state
             # R2: substitute the latest linearly-occurring unknown
             for vi in range(len(UNKNOWNS) - 1, -1, -1):
-                split = _linear_split(p, vi)
-                if split is None:
-                    continue
-                lead, rest = split
-                if len(lead.terms) == 1:
-                    (exps, coef), = lead.terms.items()
-                    inv = _unit_monomial_inverse(exps, coef, records)
-                    if inv is not None:
-                        image = _reduce_exponents(-(rest * inv), records)
-                        return ("sub", UNKNOWNS[vi], image)
+                image = _linear_image(p, vi, records)
+                if image is not None:
+                    return self._with_sub(state, UNKNOWNS[vi], image)
             # R1: strip monomial content; a monomial has a constant cofactor
             mins = _content(p)
             if any(mins):
-                branches = [
-                    ("set", v, Poly.zero(UNKNOWNS))
+                children = [
+                    self._with_sub(state, v, Poly.zero(UNKNOWNS))
                     for v, m in zip(UNKNOWNS, mins)
                     if m > 0 and v not in records
                 ]
                 if len(p.terms) > 1:
-                    branches.append(("factor", p, _divide_monomial(p, mins)))
-                return ("branch", branches)
+                    cofactor = _divide_monomial(p, mins)
+                    swapped = [cofactor if q is p else q for q in state.constraints]
+                    children.append(ConstraintState(swapped, dict(state.subs), dict(records)))
+                return self._split(state, children)
         # quiescent: enumerate a recorded unknown
         for v in UNKNOWNS:
             g = records.get(v)
             if g is None:
                 continue
             if 12 % g != 0:
-                return (
-                    "unresolved",
-                    {
-                        "reason": f"order record {v}^{g} = 1 not realizable in Q(zeta_12)",
-                        "state": _digest(state),
-                    },
+                return self._stall(
+                    state, f"order record {v}^{g} = 1 not realizable in Q(zeta_12)"
                 )
-            return (
-                "branch",
-                [("set", v, Poly.constant(UNKNOWNS, root)) for root in roots_of_unity(g)],
-            )
-        return None
+            roots = [Poly.constant(UNKNOWNS, root) for root in roots_of_unity(g)]
+            return self._split(state, [self._with_sub(state, v, root) for root in roots])
+        return self._finish(state)
 
-    def _finish(self, state: ConstraintState):
+    def _split(self, state: ConstraintState, children: list) -> list:
+        """The children of a branching rule, one level deeper; a branch at
+        the depth cap stalls instead."""
+        if state.depth >= self.depth_cap:
+            return self._stall(state, "branch depth cap exceeded")
+        for child in children:
+            child.depth = state.depth + 1
+        return children
+
+    def _stall(self, state: ConstraintState, reason: str) -> list:
+        """Record a branch the rules cannot resolve, with a digest of its state."""
+        self.unresolved.append(
+            {
+                "reason": reason,
+                "state": {
+                    "depth": state.depth,
+                    "records": dict(state.records),
+                    "substituted": sorted(state.subs),
+                    "constraints": [str(p) for p in state.constraints[:8]],
+                },
+            }
+        )
+        return []
+
+    def _finish(self, state: ConstraintState) -> list:
+        """End a quiescent branch: keep its grounded candidate once certified,
+        or record why it did not ground out."""
         if state.constraints:
-            return (
-                "unresolved",
-                {"reason": "no rewrite rule applies", "state": _digest(state)},
-            )
+            return self._stall(state, "no rewrite rule applies")
         values = {}
         for v in UNKNOWNS:
             img = state.subs.get(v)
             if img is None or not img.is_constant():
-                return (
-                    "unresolved",
-                    {"reason": f"unknown {v} is unconstrained", "state": _digest(state)},
-                )
+                return self._stall(state, f"unknown {v} is unconstrained")
             values[v] = img.constant_value()
         candidate = AffineMap2(tuple(values[v] for v in UNKNOWNS), self.fmap.model)
-        if not candidate.is_invertible():
-            return None
         # certify against the untouched leading system, then against F itself:
         # the leading system only narrows the search to finitely many candidates
-        for p in self.original.values():
-            if p.evaluate(values):
-                return None
-        if not is_member(candidate, self.fmap):
-            return None
-        return ("solution", candidate)
-
-
-def _digest(state: ConstraintState) -> dict:
-    return {
-        "depth": state.depth,
-        "records": dict(state.records),
-        "substituted": sorted(state.subs),
-        "constraints": [str(p) for p in state.constraints[:8]],
-    }
+        if (
+            candidate.is_invertible()
+            and not any(p.evaluate(values) for p in self.original.values())
+            and is_member(candidate, self.fmap)
+            and candidate not in self.solutions
+        ):
+            self.solutions.append(candidate)
+        return []
 
 
 def solve_aut(tag: str, n: int, depth_cap: int = 32) -> SolveOutcome:

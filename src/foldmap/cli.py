@@ -2,13 +2,15 @@
 
 Subcommands: gen, verify {commute|leading}, aut, proj, oracle, report.
 All JSON uses the canonical polynomial schema; exit codes are 0 all pass,
-1 any fail, 2 unresolved outcomes present (no fails), 64 usage error.
+1 any fail, 2 unresolved outcomes present (no fails), 64 usage error,
+141 stdout closed before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -17,6 +19,7 @@ from .folding import FAMILY_TAGS, fold, fold_xy, half_fold, normalize_tag
 from .poly import PolyMap2
 
 USAGE_ERROR = 64
+BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's code for a closed output pipe
 
 GEN_FAMILIES = ("a2", "b2", "g2", "bsqrt2", "gsqrt3")
 
@@ -90,12 +93,7 @@ def cmd_verify(args) -> int:
                 leading_max_b=args.max_n,
                 leading_max_g=args.max_n,
             )
-    report = suites.run_suite(args.what, config)
-    if tag is not None:
-        report.cases = [c for c in report.cases if c.inputs.get("family") == tag]
-        if not report.cases:
-            raise ValueError(f"verify {args.what} has no {tag} case up to this --max-n")
-    return _finish_report(report, args.format)
+    return _finish_report(suites.run_suite(args.what, config, family=tag), args.format)
 
 
 def cmd_aut(args) -> int:
@@ -229,10 +227,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, KeyError) as exc:
         print(f"foldmap: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -66,11 +66,15 @@ def _case_commute(tag, m, n):
     )
 
 
+# the family whose maps each square-root map commutes with
+_HALF_FAMILY = {"b_sqrt2": "b2", "g_sqrt3": "g2"}
+
+
 def _case_half_commute(kind, n):
     # empirical observation, not a stated theorem: the square-root maps
     # commute with their own family
     half = half_fold(kind)
-    tag = "b2" if kind == "b_sqrt2" else "g2"
+    tag = _HALF_FAMILY[kind]
     fn = fold(tag, n)
     witness = first_difference(compose(half, fn), compose(fn, half))
     return CaseRecord(
@@ -253,6 +257,19 @@ def run_case(descriptor):
     return _DISPATCH[kind](*args)
 
 
+# The inputs.family of the case kinds whose descriptor does not start with
+# the family tag; proj_half cases carry no family.
+_FIXED_FAMILY = {"braces": "g2", "functional": "b2", "proj_half": None}
+
+
+def _family(descriptor):
+    """The family that the descriptor's case writes to inputs.family."""
+    kind, args = descriptor
+    if kind == "half_commute":
+        return _HALF_FAMILY[args[0]]
+    return _FIXED_FAMILY.get(kind, args[0])
+
+
 def _descriptors(name: str, config: dict):
     out = []
     if name == "commute":
@@ -306,8 +323,10 @@ def _descriptors(name: str, config: dict):
     return out
 
 
-def run_suite(name: str, config: dict | None = None) -> VerificationReport:
-    """Run one suite (or 'all'); invalid config raises ValueError."""
+def run_suite(name: str, config: dict | None = None,
+              family: str | None = None) -> VerificationReport:
+    """Run one suite (or 'all'), or only its cases of one family; invalid
+    config, or a family with no case, raises ValueError before any case runs."""
     cfg = dict(DEFAULTS)
     cfg.update(config or {})
     if cfg["jobs"] < 1:
@@ -317,6 +336,10 @@ def run_suite(name: str, config: dict | None = None) -> VerificationReport:
     descriptors = []
     for suite in names:
         descriptors.extend(_descriptors(suite, cfg))
+    if family is not None:
+        descriptors = [d for d in descriptors if _family(d) == family]
+        if not descriptors:
+            raise ValueError(f"the {name} suite has no {family} case in this configuration")
     report = VerificationReport(name, cfg)
     # a fork pool starts every worker at the first submit: never ask for
     # more workers than there are cores or cases

@@ -217,14 +217,25 @@ def check_oracle_n(tag: str, n: int) -> None:
         )
 
 
+# Most trials one oracle run takes: a trial costs about 48 us on each family's
+# ORACLE_MAX_N map, so 10^6 trials take about 48 s, as long as the slowest
+# map the desk bound admits (g2 at n = 200) takes to build.
+ORACLE_MAX_TRIALS = 10**6
+
+
 def check_scaling_args(trials: int, tol: float) -> None:
-    """Raise ValueError unless trials >= 1 and tol is finite and > 0.
+    """Raise ValueError unless 1 <= trials <= ORACLE_MAX_TRIALS and tol is
+    finite and > 0.
 
     With no points checked, or with an infinite tolerance, the oracle would
     pass vacuously; with tol <= 0 or NaN no residual could pass.
     """
     if trials < 1:
         raise ValueError(f"the scaling oracle needs trials >= 1, got {trials}")
+    if trials > ORACLE_MAX_TRIALS:
+        raise ValueError(
+            f"the scaling oracle needs trials <= {ORACLE_MAX_TRIALS}, got {trials}"
+        )
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"the scaling oracle needs a finite tol > 0, got {tol}")
 
@@ -266,15 +277,6 @@ def chebyshev(n: int) -> Poly:
     return cur
 
 
-def _embed_univariate(p: Poly, vars, position: int) -> Poly:
-    terms = {}
-    for (k,), coef in p.terms.items():
-        exps = [0] * len(vars)
-        exps[position] = k
-        terms[tuple(exps)] = coef
-    return Poly(vars, terms, _internal=True)
-
-
 @dataclass
 class FunctionalReport:
     n: int
@@ -292,8 +294,8 @@ def verify_B_functional(n: int) -> FunctionalReport:
     images = {xvar: u + v, yvar: u * v}
     lhs = (fmap.first.substitute(images), fmap.second.substitute(images))
     tn = chebyshev(n)
-    tu = _embed_univariate(tn, uv, 0)
-    tv = _embed_univariate(tn, uv, 1)
+    tu = tn.substitute({"t": u})
+    tv = tn.substitute({"t": v})
     rhs = (tu + tv, tu * tv)
     for component, (left, right) in enumerate(zip(lhs, rhs), start=1):
         diff = left - right

@@ -13,6 +13,9 @@ from foldmap.automorphism import (
     AffineMap2,
     ConstraintState,
     _Engine,
+    _as_power_equation,
+    _linear_image,
+    _reduce_exponents,
     claimed_group,
     collect_constraints,
     is_member,
@@ -212,9 +215,10 @@ def test_power_equation_with_nontrivial_root_records():
     constraint = Poly(
         UNKNOWNS, {(2, 0, 0, 0, 0, 0): 1, (0,) * 6: -ZETA3}
     )
-    state = ConstraintState([constraint], {}, {})
-    action = engine._find_action(state)
-    assert action == ("record", "a", 6, None)
+    state = engine._step(ConstraintState([constraint], {}, {}))
+    assert isinstance(state, ConstraintState)
+    assert state.records == {"a": 6} and state.subs == {}
+    assert state.constraints == [constraint]
 
 
 def test_solver_is_deterministic():
@@ -346,6 +350,73 @@ def test_leading_constraints_match_full_expansion_on_random_maps(first, second):
     _assert_leading_constraints(PolyMap2(first, second, XY, "random"))
 
 
+unknown_exps = st.tuples(*[st.integers(0, 2)] * len(UNKNOWNS))
+nonzero_coeffs = map_coeffs.filter(bool)
+order_records = st.dictionaries(
+    st.sampled_from(UNKNOWNS), st.sampled_from((2, 3, 4, 6, 12)), max_size=4
+)
+
+
+@st.composite
+def linear_constraints(draw):
+    """(p, k, records): a random constraint, and half the time one with a
+    planted term unit * UNKNOWNS[k]^j, j = 1 or 2, as its only linear
+    occurrence of UNKNOWNS[k]; squares of UNKNOWNS[k] may remain."""
+    records = draw(order_records)
+    k = draw(st.integers(0, len(UNKNOWNS) - 1))
+    terms = draw(st.dictionaries(unknown_exps, nonzero_coeffs, max_size=4))
+    if draw(st.booleans()):
+        terms = {e[:k] + (0 if e[k] == 1 else e[k],) + e[k + 1:]: c for e, c in terms.items()}
+        unit = [
+            draw(st.integers(1, 2)) if i == k
+            else draw(st.integers(0, 13)) if v in records else 0
+            for i, v in enumerate(UNKNOWNS)
+        ]
+        terms[tuple(unit)] = draw(nonzero_coeffs)
+    return Poly(UNKNOWNS, terms), k, records
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_constraints())
+def test_linear_image_solves_the_constraint(case):
+    p, k, records = case
+    image = _linear_image(p, k, records)
+    if image is None:
+        return
+    assert all(exps[k] == 0 for exps in image.terms)
+    assert _reduce_exponents(p.substitute_var(UNKNOWNS[k], image), records).is_zero()
+
+
+origin = (0,) * len(UNKNOWNS)
+power_exps = st.one_of(
+    st.tuples(st.integers(0, len(UNKNOWNS) - 1), st.integers(1, 12)).map(
+        lambda t: origin[: t[0]] + (t[1],) + origin[t[0] + 1:]
+    ),
+    unknown_exps,
+)
+# random constraints, and ones shaped c * m + rho with m a power of one unknown
+# or a random monomial and c often 1
+power_constraints = st.one_of(
+    st.dictionaries(st.one_of(st.just(origin), power_exps), nonzero_coeffs, max_size=3),
+    st.builds(
+        lambda top, c, rho: {top: c, origin: rho},
+        power_exps,
+        st.one_of(st.just(1), nonzero_coeffs),
+        nonzero_coeffs,
+    ),
+).map(lambda d: Poly(UNKNOWNS, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(power_constraints)
+def test_power_equation_match_is_exact(p):
+    shaped = _as_power_equation(p)
+    if shaped is None:
+        return
+    var, k, rhs = shaped
+    assert p == Poly.variable(UNKNOWNS, var) ** k - rhs
+
+
 def test_finish_certifies_against_the_constraint_system(monkeypatch):
     """A grounded branch whose values break the engine's system is rejected
     by the evaluation loop alone, even when is_member would accept it."""
@@ -356,10 +427,11 @@ def test_finish_certifies_against_the_constraint_system(monkeypatch):
         subs = {v: Poly.constant(UNKNOWNS, x) for v, x in zip(UNKNOWNS, values)}
         return ConstraintState([], subs, {})
 
-    assert engine._finish(grounded((2, 0, 0, 0, 1, 0))) is None
-    assert engine._finish(grounded((1, 0, 0, 0, 1, 0))) == (
-        "solution", AffineMap2.identity(XY)
-    )
+    assert engine._finish(grounded((2, 0, 0, 0, 1, 0))) == []
+    assert engine.solutions == [] and engine.unresolved == []
+    assert engine._finish(grounded((1, 0, 0, 0, 1, 0))) == []
+    assert engine.solutions == [AffineMap2.identity(XY)]
+    assert engine.unresolved == []
 
 
 def test_finish_reports_live_constraints():
@@ -367,19 +439,21 @@ def test_finish_reports_live_constraints():
     live = Poly.variable(UNKNOWNS, "a") - 1
     unit = Poly.constant(UNKNOWNS, 1)
     state = ConstraintState([live], {v: unit for v in UNKNOWNS}, {})
-    outcome = engine._finish(state)
-    assert outcome[0] == "unresolved"
-    assert outcome[1]["reason"] == "no rewrite rule applies"
-    assert outcome[1]["state"]["constraints"] == [str(live)]
+    assert engine._finish(state) == []
+    assert engine.solutions == []
+    (outcome,) = engine.unresolved
+    assert outcome["reason"] == "no rewrite rule applies"
+    assert outcome["state"]["constraints"] == [str(live)]
 
 
 def test_finish_reports_an_unconstrained_unknown():
     engine = _Engine(fold("b2", 3), depth_cap=32)
     # f is never bound
     subs = {v: Poly.constant(UNKNOWNS, x) for v, x in zip("abcde", (1, 0, 0, 0, 1))}
-    outcome = engine._finish(ConstraintState([], subs, {}))
-    assert outcome[0] == "unresolved"
-    assert outcome[1]["reason"] == "unknown f is unconstrained"
+    assert engine._finish(ConstraintState([], subs, {})) == []
+    assert engine.solutions == []
+    (outcome,) = engine.unresolved
+    assert outcome["reason"] == "unknown f is unconstrained"
 
 
 def test_finish_drops_a_singular_candidate(monkeypatch):
@@ -388,7 +462,8 @@ def test_finish_drops_a_singular_candidate(monkeypatch):
     monkeypatch.setattr(automorphism, "is_member", lambda phi, fmap: True)
     engine = _Engine(fold("b2", 3), depth_cap=32)
     zero = Poly.zero(UNKNOWNS)
-    assert engine._finish(ConstraintState([], {v: zero for v in UNKNOWNS}, {})) is None
+    assert engine._finish(ConstraintState([], {v: zero for v in UNKNOWNS}, {})) == []
+    assert engine.solutions == [] and engine.unresolved == []
 
 
 def test_is_member_cuts_leading_candidates_to_the_group(monkeypatch):

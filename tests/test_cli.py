@@ -9,7 +9,8 @@ from foldmap.cli import main
 from foldmap.folding import fold, half_fold
 from foldmap.poly import PolyMap2
 from foldmap.projective import N_DESK_BOUND
-from foldmap.weyl import ORACLE_MAX_N
+from foldmap.reports import VerificationReport
+from foldmap.weyl import ORACLE_MAX_N, ORACLE_MAX_TRIALS
 
 
 def run(capsys, *argv):
@@ -111,7 +112,7 @@ def test_proj_requires_n(capsys):
     assert code == 64 and "--n" in err and out == ""
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
+@pytest.mark.parametrize("trials", ["0", "-5", str(ORACLE_MAX_TRIALS + 1)])
 def test_oracle_rejects_nonpositive_trials(capsys, trials):
     code, out, err = run(capsys, "oracle", "--family", "a2", "--n", "3", "--trials", trials)
     assert code == 64 and "trials" in err and out == ""
@@ -179,6 +180,42 @@ def test_verify_max_n_bounds_follow_desk_bound():
 def test_verify_rejects_empty_family_selection(capsys):
     code, out, err = run(capsys, "verify", "leading", "--family", "a2", "--max-n", "1")
     assert code == 64 and out == "" and "no a2 case" in err
+
+
+def test_verify_family_runs_only_that_family(capsys, monkeypatch):
+    ran = []  # the inputs.family of every case run
+    real = suites.run_case
+
+    def counting(descriptor):
+        record = real(descriptor)
+        ran.append(record.inputs.get("family"))
+        return record
+
+    monkeypatch.setattr(suites, "run_case", counting)
+    code, out, _ = run(capsys, "verify", "commute", "--family", "a2", "--max-n", "4")
+    assert code == 0 and ran and set(ran) == {"a2"}
+    assert len(json.loads(out)["cases"]) == len(ran)
+    ran.clear()
+    code, out, err = run(capsys, "verify", "leading", "--family", "b2", "--max-n", "2")
+    assert code == 64 and out == "" and "no b2 case" in err
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "what,max_n,config",
+    [
+        ("commute", "4", {"commute_max": 4}),
+        ("leading", "7", {"leading_max_a": 7, "leading_max_b": 7, "leading_max_g": 7}),
+    ],
+)
+def test_verify_family_equals_the_filtered_report(capsys, what, max_n, config):
+    """--family prints the full report with only that family's cases."""
+    full = suites.run_suite(what, {"seed": 0, "jobs": 1, **config})
+    for tag in ("a2", "b2", "g2"):
+        cases = [c for c in full.cases if c.inputs.get("family") == tag]
+        want = VerificationReport(full.suite, full.config, cases).to_json_obj()
+        code, out, _ = run(capsys, "verify", what, "--family", tag, "--max-n", max_n)
+        assert code == 0 and out == json.dumps(want) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -258,6 +295,8 @@ def test_run_suite_rejects_nonpositive_trials():
 
     with pytest.raises(ValueError):
         run_suite("oracle", {"trials": 0})
+    with pytest.raises(ValueError, match=f"trials <= {ORACLE_MAX_TRIALS}"):
+        run_suite("oracle", {"trials": ORACLE_MAX_TRIALS + 1})
 
 
 @pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
@@ -308,6 +347,34 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert PolyMap2.from_json_obj(json.loads(out.stdout)) == fold("b2", 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--family", "a2", "--n", "60"),
+        ("report", "--suite", "proj"),
+        ("aut", "--family", "a2", "--n", "7", "--claimed"),
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "foldmap", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 141
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
 
 
 def test_report_parallel_matches_serial(capsys):

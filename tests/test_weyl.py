@@ -92,9 +92,9 @@ def test_scaling_reports_residual_deterministically():
     assert a.max_residual == b.max_residual
 
 
-@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("trials", [0, -5, weyl.ORACLE_MAX_TRIALS + 1])
 def test_scaling_rejects_nonpositive_trials(trials):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials"):
         check_scaling("a2", 3, trials=trials)
 
 
