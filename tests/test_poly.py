@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldmap import poly as poly_module
 from foldmap.cyclo import CycloElem, I_UNIT
 from foldmap.folding import fold
 from foldmap.poly import (
@@ -200,6 +201,20 @@ def test_pow_matches_repeated_mul(p):
     assert p**0 == Poly.constant(XY_VARS, 1)
 
 
+@pytest.mark.parametrize("n", range(14))
+def test_pow_squares_only_while_bits_remain(n, monkeypatch):
+    p = X + 2 * Y - 1
+    product = Poly.constant(XY_VARS, 1)
+    for _ in range(n):
+        product = product * p
+    calls = []
+    real = poly_module.mul_terms
+    monkeypatch.setattr(poly_module, "mul_terms", lambda a, b: calls.append(1) or real(a, b))
+    assert p**n == product
+    # one product per set bit, one squaring per bit after the first
+    assert len(calls) == bin(n).count("1") + max(n.bit_length() - 1, 0)
+
+
 def test_evaluate():
     p = X**2 - 2 * Y - 4
     assert p.evaluate({"x": 3, "y": 1}) == 3
@@ -278,6 +293,36 @@ def test_ring_operations_keep_canonical_coefficients(p, q, s):
         p.substitute_var("y", s),
     ]
     assert not any(has_rational_cyclo(r) for r in results)
+
+
+fraction_coeffs = st.one_of(coeffs, st.builds(Fraction, coeffs, st.integers(2, 4)))
+
+
+def has_integral_fraction(p):
+    return any(type(c) is Fraction and c.denominator == 1 for c in p.terms.values())
+
+
+def test_ring_operations_store_integral_fractions_as_ints():
+    p = X * Fraction(1, 2) + Y * Fraction(1, 3)
+    q = p * 2 + p
+    assert q.terms == {(1, 0): Fraction(3, 2), (0, 1): 1}
+    assert type(q.terms[(0, 1)]) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(exps, fraction_coeffs, max_size=5).map(lambda d: Poly(XY_VARS, d)),
+    st.dictionaries(exps, fraction_coeffs, max_size=5).map(lambda d: Poly(XY_VARS, d)),
+    fraction_coeffs,
+)
+def test_ring_operations_keep_integral_fractions_as_ints(p, q, s):
+    results = [
+        p + q, p - q, p * q, p * s, s * p, p + s, s - p, -p, p**3,
+        p.substitute({"x": q, "y": p + s}),
+        p.substitute_var("x", q),
+        p.substitute_var("y", s),
+    ]
+    assert not any(has_integral_fraction(r) for r in results)
 
 
 @pytest.mark.parametrize("nvars", [1, 3, 6])
