@@ -116,13 +116,12 @@ def cmd_aut(args) -> int:
 def cmd_proj(args) -> int:
     family = args.family.lower()
     m = _get_map(family, args.n, "xy")
-    h = projective.homogenize_map(m)
-    rep = projective.indeterminacy(h)
+    rep = projective.indeterminacy(m)
     _emit(
         {
             "family": family,
             "n": args.n,
-            "degree": h.degree,
+            "degree": m.degree(),
             "morphism": rep.empty,
             "indeterminacy": [list(p) for p in rep.points],
             "unresolved_factor_degree": (

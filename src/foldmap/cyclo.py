@@ -132,8 +132,9 @@ class CycloElem:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- Galois action --------------------------------------------------

@@ -1,12 +1,14 @@
 """Folding maps on the projective plane: degrees and indeterminacy loci.
 
-An affine planar map (P, Q) homogenizes to [Z^(d-deg P) P-bar : Z^(d-deg Q)
-Q-bar : Z^d] with d the larger component degree.  Because the third
-component is Z^d, base points can only sit on the line Z = 0, so the
-indeterminacy computation reduces to an exact gcd of two binary forms: the
-monomial part of the gcd yields the points [0:1:0] / [1:0:0], and any
-non-monomial residual factor is reported unresolved rather than root-solved
-(the folding families never produce one).
+An affine planar map (P, Q) of degree d extends to P^2 as
+[Z^(d-deg P) P-bar : Z^(d-deg Q) Q-bar : Z^d], a map of projective degree
+d.  The third form is Z^d, so
+base points can only sit on the line Z = 0, where the first two forms
+restrict to the degree-d slices of P and Q.  The base points are therefore
+the common zeros of these two forms at infinity, read straight off the map's
+top slice: the monomial part of their exact gcd yields the points [0:1:0] /
+[1:0:0], and any non-monomial residual factor is reported unresolved rather
+than root-solved (the folding families never produce one).
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from dataclasses import dataclass, field
 from .cyclo import coef_div
 from .folding import compose, fold_xy, normalize_tag
 from .poly import XY, Poly, PolyMap2
-
-PROJ_VARS = ("X", "Y", "Z")
 
 DESK_BOUND = 128
 
@@ -29,19 +29,6 @@ DESK_BOUND = 128
 N_DESK_BOUND = 200
 
 
-@dataclass(frozen=True)
-class HomogMap3:
-    """Three homogeneous forms of a common degree on P^2."""
-
-    components: tuple
-    degree: int
-    label: str = ""
-
-    def evaluate(self, point):
-        values = dict(zip(PROJ_VARS, point))
-        return tuple(p.evaluate(values) for p in self.components)
-
-
 @dataclass
 class IndeterminacyReport:
     points: list = field(default_factory=list)      # projective triples
@@ -50,28 +37,6 @@ class IndeterminacyReport:
     @property
     def empty(self) -> bool:
         return not self.points and self.unresolved is None
-
-
-def homogenize_map(m: PolyMap2) -> HomogMap3:
-    """Homogenize an affine XY map; the common degree is the max of the two."""
-    if m.model != XY:
-        raise ValueError("homogenize_map needs an XY-model map (convert ZW first)")
-    d = m.degree()
-    if d < 1:
-        raise ValueError("cannot homogenize a constant map")
-    comps = []
-    for p in m.components():
-        terms = {}
-        for (i, j), coef in p.terms.items():
-            terms[(i, j, d - i - j)] = coef
-        comps.append(Poly(PROJ_VARS, terms, _internal=True))
-    comps.append(Poly(PROJ_VARS, {(0, 0, d): 1}, _internal=True))
-    return HomogMap3(tuple(comps), d, m.label)
-
-
-def _binary_form_at_infinity(p: Poly):
-    """Restrict a (X, Y, Z)-form to Z = 0 as a dict exponent-pair -> coef."""
-    return {(i, j): c for (i, j, k), c in p.terms.items() if k == 0}
 
 
 def _univariate_gcd(u: list, v: list) -> list:
@@ -98,21 +63,14 @@ def _univariate_gcd(u: list, v: list) -> list:
     return u
 
 
-def indeterminacy(h: HomogMap3) -> IndeterminacyReport:
-    """Common zeros of the three components, all necessarily on Z = 0."""
-    third = h.components[2]
-    if third.terms != {(0, 0, h.degree): 1}:
-        raise ValueError("indeterminacy reduction needs third component Z^d")
-    forms = []
-    for p in h.components[:2]:
-        form = _binary_form_at_infinity(p)
-        if form:
-            forms.append(form)
-    report = IndeterminacyReport()
-    if not forms:
-        # cannot happen for homogenized affine maps (one component has full
-        # degree), kept for safety on hand-built inputs
-        raise ValueError("both components vanish identically on Z = 0")
+def indeterminacy(m: PolyMap2) -> IndeterminacyReport:
+    """Common zeros on Z = 0 of the two forms at infinity of an XY map."""
+    if m.model != XY:
+        raise ValueError("indeterminacy needs an XY-model map (convert ZW first)")
+    d = m.degree()
+    if d < 1:
+        raise ValueError("cannot homogenize a constant map")
+    forms = [f for f in (p.degree_slice(d).terms for p in m.components()) if f]
     # gcd of the forms = X^a Y^b * gcd of their content-free parts, where the
     # content exponents are the minima across the forms
     x_content = min(min(i for i, _ in f) for f in forms)
@@ -130,22 +88,25 @@ def indeterminacy(h: HomogMap3) -> IndeterminacyReport:
     g = dehomogenized[0]
     for other in dehomogenized[1:]:
         g = _univariate_gcd(g, other)
+    report = IndeterminacyReport()
     if x_content >= 1:
         report.points.append((0, 1, 0))
     if y_content >= 1:
         report.points.append((1, 0, 0))
     if len(g) > 1:
-        m = len(g) - 1
-        form = Poly(("X", "Y"), {(m - k, k): c for k, c in enumerate(g) if c})
-        report.unresolved = form
+        k = len(g) - 1
+        report.unresolved = Poly(("X", "Y"), {(k - e, e): c for e, c in enumerate(g) if c})
     return report
 
 
-def is_morphism(h: HomogMap3) -> bool:
-    return indeterminacy(h).empty
+def is_morphism(m: PolyMap2) -> bool:
+    return indeterminacy(m).empty
 
 
 def iterate_map(m: PolyMap2, times: int) -> PolyMap2:
+    """The times-fold composite of m with itself."""
+    if times < 1:
+        raise ValueError("iterate_map needs times >= 1")
     out = m
     for _ in range(times - 1):
         out = compose(out, m)
@@ -153,11 +114,11 @@ def iterate_map(m: PolyMap2, times: int) -> PolyMap2:
 
 
 def degree_growth(tag: str, n: int, m: int) -> int:
-    """Homogenized degree of the m-fold composite of the n-th folding map."""
+    """Projective degree of the m-fold composite of the n-th folding map."""
     tag = normalize_tag(tag)
     if m < 1:
         raise ValueError("degree_growth needs m >= 1")
     if n**m > DESK_BOUND:
         raise ValueError(f"n^m = {n ** m} exceeds the desk bound {DESK_BOUND}")
     composite = iterate_map(fold_xy(tag, n), m)
-    return homogenize_map(composite).degree
+    return composite.degree()

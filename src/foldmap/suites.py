@@ -165,13 +165,16 @@ def _proj_expected(tag, n):
 
 
 def _case_proj(tag, n):
-    h = projective.homogenize_map(fold_xy(tag, n))
-    rep = projective.indeterminacy(h)
+    m = fold_xy(tag, n)
+    d = m.degree()
+    rep = projective.indeterminacy(m)
     points = [list(p) for p in rep.points]
-    got = (h.degree, rep.empty, points)
+    got = (d, rep.empty, points)
     want = _proj_expected(tag, n)
+    # each base point [X:Y:0] is a zero of both forms at infinity
+    tops = [p.degree_slice(d) for p in m.components()]
     checked = all(
-        all(v == 0 for v in h.evaluate(tuple(p))) for p in rep.points
+        top.evaluate({"x": x, "y": y}) == 0 for x, y, _ in rep.points for top in tops
     )
     ok = got == want and rep.unresolved is None and checked
     return CaseRecord(
@@ -185,14 +188,13 @@ def _case_proj(tag, n):
 
 def _case_proj_half(kind):
     half = half_fold(kind)
-    h = projective.homogenize_map(half)
-    rep = projective.indeterminacy(h)
+    rep = projective.indeterminacy(half)
     square = compose(half, half)
     target = fold("b2", 2) if kind == "b_sqrt2" else fold("g2", 3)
     ok = rep.points == [(0, 1, 0)] and rep.unresolved is None and square == target
     if kind == "b_sqrt2":
         # a non-morphism whose second iterate is a morphism
-        ok = ok and projective.is_morphism(projective.homogenize_map(square))
+        ok = ok and projective.is_morphism(square)
     return CaseRecord(
         "proj",
         f"proj[{kind}]",

@@ -15,7 +15,7 @@ from foldmap.cyclo import CycloElem
 from foldmap.folding import compose, fold, fold_xy, half_fold, verify_commute
 from foldmap.leading import g2_x_slice_mismatch, verify_leading
 from foldmap.poly import Poly, PolyMap2, XY_VARS, ZW_VARS
-from foldmap.projective import degree_growth, homogenize_map, indeterminacy, is_morphism
+from foldmap.projective import degree_growth, indeterminacy, is_morphism
 from foldmap.weyl import check_scaling, verify_B_functional
 
 
@@ -191,14 +191,14 @@ def test_criterion_07_solver_completeness():
 def test_criterion_08_projective():
     with criterion(8, "degrees, morphism status and loci, 2 <= n <= 12"):
         for n in range(2, 13):
-            ha = homogenize_map(fold_xy("a2", n))
-            hb = homogenize_map(fold("b2", n))
-            assert ha.degree == n and is_morphism(ha), n
-            assert hb.degree == n and is_morphism(hb), n
-            hg = homogenize_map(fold("g2", n))
-            assert hg.degree == (3 * n) // 2, n
-            rep = indeterminacy(hg)
-            assert rep.unresolved is None and not is_morphism(hg)
+            ma = fold_xy("a2", n)
+            mb = fold("b2", n)
+            assert ma.degree() == n and is_morphism(ma), n
+            assert mb.degree() == n and is_morphism(mb), n
+            mg = fold("g2", n)
+            assert mg.degree() == (3 * n) // 2, n
+            rep = indeterminacy(mg)
+            assert rep.unresolved is None and not is_morphism(mg)
             want = [(0, 1, 0)] if n % 2 == 0 else [(0, 1, 0), (1, 0, 0)]
             assert rep.points == want, (n, rep.points)
 
@@ -208,9 +208,9 @@ def test_criterion_09_half_fold_remarks():
         bs, gs = half_fold("b_sqrt2"), half_fold("g_sqrt3")
         assert compose(bs, bs) == fold("b2", 2)
         assert compose(gs, gs) == fold("g2", 3)
-        assert indeterminacy(homogenize_map(bs)).points == [(0, 1, 0)]
-        assert indeterminacy(homogenize_map(gs)).points == [(0, 1, 0)]
-        assert is_morphism(homogenize_map(compose(bs, bs)))
+        assert indeterminacy(bs).points == [(0, 1, 0)]
+        assert indeterminacy(gs).points == [(0, 1, 0)]
+        assert is_morphism(compose(bs, bs))
 
 
 def test_criterion_10_degree_growth():

@@ -156,6 +156,26 @@ def test_rational_results_are_plain_numbers():
         assert value == expected and type(value) is type(expected), value
 
 
+@pytest.mark.parametrize("n", range(14))
+def test_pow_squares_only_while_bits_remain(n, monkeypatch):
+    product = 1
+    for _ in range(n):
+        product = product * ZETA
+    squarings, products = [], []
+    real = CycloElem.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, CycloElem):
+            (squarings if a is b else products).append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(CycloElem, "__mul__", counting_mul)
+    assert ZETA**n == product
+    assert len(squarings) == max(n.bit_length() - 1, 0)
+    # the first set bit multiplies into the int 1, not into a CycloElem
+    assert len(products) == max(bin(n).count("1") - 1, 0)
+
+
 def _scaled(base, r):
     """base * r, built from components so the operation under test is not used."""
     return CycloElem(*(c * r for c in coef_components(base)))

@@ -1,121 +1,67 @@
-"""Homogenization, indeterminacy loci, and degree growth on P^2."""
+"""Projective degrees, indeterminacy loci, and degree growth on P^2."""
 
 import pytest
 
 from foldmap.folding import compose, fold, fold_xy, half_fold
-from foldmap.poly import Poly
-from foldmap.projective import (
-    PROJ_VARS,
-    HomogMap3,
-    degree_growth,
-    homogenize_map,
-    indeterminacy,
-    is_morphism,
-    iterate_map,
-)
-
-
-def form(terms):
-    return Poly(PROJ_VARS, terms)
-
-
-def test_homogenize_b2():
-    h = homogenize_map(fold("b2", 2))
-    assert h.degree == 2
-    assert h.components[0] == form({(2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 2): -4})
-    assert h.components[1] == form(
-        {(0, 2, 0): 1, (2, 0, 0): -2, (0, 1, 1): 4, (0, 0, 2): 4}
-    )
-    assert h.components[2] == form({(0, 0, 2): 1})
-
-
-def test_homogenize_half_folds_verbatim():
-    h = homogenize_map(half_fold("b_sqrt2"))
-    assert list(h.components) == [
-        form({(0, 1, 1): 1}),
-        form({(2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 2): -4}),
-        form({(0, 0, 2): 1}),
-    ]
-    h = homogenize_map(half_fold("g_sqrt3"))
-    assert list(h.components) == [
-        form({(0, 1, 2): 1}),
-        form({(3, 0, 0): 1, (1, 1, 1): -3, (1, 0, 2): -9, (0, 1, 2): -6, (0, 0, 3): -12}),
-        form({(0, 0, 3): 1}),
-    ]
+from foldmap.poly import XY, XY_VARS, Poly, PolyMap2
+from foldmap.projective import degree_growth, indeterminacy, is_morphism, iterate_map
 
 
 def test_homogenize_rejects_constant_and_zw():
-    with pytest.raises(ValueError):
-        homogenize_map(fold("b2", 0))
-    with pytest.raises(ValueError):
-        homogenize_map(fold("a2", 3))
+    with pytest.raises(ValueError, match="constant map"):
+        indeterminacy(fold("b2", 0))
+    with pytest.raises(ValueError, match="XY-model"):
+        indeterminacy(fold("a2", 3))
 
 
 def test_degrees():
-    assert homogenize_map(fold("g2", 4)).degree == 6
-    assert homogenize_map(fold("g2", 5)).degree == 7
+    assert fold("g2", 4).degree() == 6
+    assert fold("g2", 5).degree() == 7
     for n in (2, 5, 9):
-        assert homogenize_map(fold_xy("a2", n)).degree == n
+        assert fold_xy("a2", n).degree() == n
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_a_and_b_are_morphisms(n):
-    assert is_morphism(homogenize_map(fold_xy("a2", n)))
-    assert is_morphism(homogenize_map(fold("b2", n)))
+    assert is_morphism(fold_xy("a2", n))
+    assert is_morphism(fold("b2", n))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_g_indeterminacy_parity(n):
-    h = homogenize_map(fold("g2", n))
-    rep = indeterminacy(h)
+    m = fold("g2", n)
+    rep = indeterminacy(m)
     assert rep.unresolved is None
     expected = [(0, 1, 0)] if n % 2 == 0 else [(0, 1, 0), (1, 0, 0)]
     assert rep.points == expected
-    assert not is_morphism(h)
-    for pt in rep.points:
-        assert all(v == 0 for v in h.evaluate(pt))
+    assert not is_morphism(m)
+    tops = [p.degree_slice(m.degree()) for p in m.components()]
+    for x, y, z in rep.points:
+        assert z == 0
+        assert all(top.evaluate({"x": x, "y": y}) == 0 for top in tops)
 
 
 def test_half_fold_loci():
-    rep = indeterminacy(homogenize_map(half_fold("b_sqrt2")))
+    rep = indeterminacy(half_fold("b_sqrt2"))
     assert rep.points == [(0, 1, 0)] and rep.unresolved is None
-    rep = indeterminacy(homogenize_map(half_fold("g_sqrt3")))
+    rep = indeterminacy(half_fold("g_sqrt3"))
     assert rep.points == [(0, 1, 0)] and rep.unresolved is None
     # non-morphism whose second iterate is a morphism
     square = compose(half_fold("b_sqrt2"), half_fold("b_sqrt2"))
     assert square == fold("b2", 2)
-    assert is_morphism(homogenize_map(square))
-
-
-def test_indeterminacy_guard():
-    bad = HomogMap3(
-        (
-            form({(2, 0, 0): 1}),
-            form({(0, 2, 0): 1}),
-            form({(0, 0, 1): 1, (1, 0, 0): 1}),
-        ),
-        2,
-    )
-    with pytest.raises(ValueError):
-        indeterminacy(bad)
+    assert is_morphism(square)
 
 
 def test_unresolved_factor_reported():
-    # X^2 + Y^2 and Z-free second form share the non-monomial factor X^2+Y^2
-    h = HomogMap3(
-        (
-            form({(2, 0, 0): 1, (0, 2, 0): 1}),
-            form({(3, 0, 0): 1, (1, 2, 0): 1}),
-            form({(0, 0, 2): 1}),
-        ),
-        2,
-    )
-    # inconsistent degrees are irrelevant to the restriction logic; only the
-    # Z = 0 slice is read
-    rep = indeterminacy(h)
+    # the top forms (x^2+y^2)(x+y) and (x^2+y^2)(x-y) share x^2 + y^2 and no
+    # monomial; the lower terms are not read
+    x, y = Poly.variable(XY_VARS, "x"), Poly.variable(XY_VARS, "y")
+    shared = x**2 + y**2
+    m = PolyMap2(shared * (x + y) + x * y - 1, shared * (x - y) + 3 * y, XY)
+    rep = indeterminacy(m)
     assert rep.points == []
-    assert rep.unresolved is not None
-    assert rep.unresolved.degree() == 2
+    assert rep.unresolved == Poly(("X", "Y"), {(2, 0): 1, (0, 2): 1})
+    assert not is_morphism(m)
 
 
 def test_degree_growth():
@@ -132,20 +78,12 @@ def test_degree_growth_drop_vs_naive():
     # naive degree of the square of a degree-3 map is 9; the true value is 6
     composite = iterate_map(fold("g2", 2), 2)
     assert composite == fold("g2", 4)
-    assert homogenize_map(composite).degree == 6
+    assert composite.degree() == 6
 
 
-def test_third_component_is_zd():
-    for tag, n in (("b2", 4), ("g2", 5)):
-        h = homogenize_map(fold(tag, n))
-        assert h.components[2].terms == {(0, 0, h.degree): 1}
-
-
-def test_components_share_no_monomial_factor():
-    for tag, n in (("b2", 5), ("g2", 6)):
-        h = homogenize_map(fold(tag, n))
-        mins = [3, 3, 3]
-        for p in h.components:
-            for exps in p.terms:
-                mins = [min(m, e) for m, e in zip(mins, exps)]
-        assert mins == [0, 0, 0]
+def test_iterate_map_needs_one_iterate():
+    m = fold("b2", 2)
+    assert iterate_map(m, 1) == m
+    for times in (0, -1):
+        with pytest.raises(ValueError, match="times >= 1"):
+            iterate_map(m, times)

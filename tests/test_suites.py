@@ -4,7 +4,8 @@ from collections import Counter
 
 from fractions import Fraction
 
-from foldmap import automorphism, suites
+from foldmap import automorphism, projective, suites
+from foldmap.poly import XY, XY_VARS, Poly, PolyMap2
 from foldmap.reports import FAIL, PASS, UNRESOLVED, CaseRecord, VerificationReport
 from foldmap.suites import run_suite
 
@@ -38,6 +39,18 @@ def test_aut_solve_case_is_unresolved_when_the_solver_stalls(monkeypatch):
     assert record.witness == solve("b2", 5, depth_cap=0).unresolved[:2]
     assert "depth cap" in record.to_json_obj()["witness"][0]["reason"]
     assert VerificationReport("aut", {}, [record]).exit_code == 2
+
+
+def test_proj_case_fails_when_a_base_point_is_not_a_zero(monkeypatch):
+    # (y^3, x^3) has the degree and a base-point count of g2 n=2, but [0:1:0]
+    # is not a zero of its top forms, so only the certificate can reject it
+    cubes = PolyMap2(Poly(XY_VARS, {(0, 3): 1}), Poly(XY_VARS, {(3, 0): 1}), XY)
+    report = projective.IndeterminacyReport(points=[(0, 1, 0)])
+    monkeypatch.setattr(suites, "fold_xy", lambda tag, n: cubes)
+    monkeypatch.setattr(projective, "indeterminacy", lambda m: report)
+    record = suites._case_proj("g2", 2)
+    assert record.witness["got"] == record.witness["want"] == suites._proj_expected("g2", 2)
+    assert record.verdict == FAIL
 
 
 def test_report_exit_codes_and_case_fields():
