@@ -1,22 +1,30 @@
 """Term-merge kernels for sparse polynomial arithmetic.
 
-Terms are dicts mapping exponent tuples (ints) to nonzero coefficients
-(ints, rationals or CycloElem - anything supporting ring arithmetic).
-These inner loops dominate the run time of the commutation and automorphism
-suites.  Every function returns a fresh dict with zero coefficients pruned.
-Given canonical coefficients (see cyclo.py) it returns canonical ones: an
-integral Fraction result is stored as an int.  Only Fraction arithmetic can
-make one, so that pass runs only when a C-level scan of the inputs' types
-finds a Fraction where one can arise; int-only and CycloElem operands skip it.
+Terms are dicts mapping monomials to nonzero coefficients (ints, rationals
+or CycloElem - anything supporting ring arithmetic).  A monomial is either
+an exponent tuple or one packed int (see below); the keys of one call are
+all of one kind.  These inner loops dominate the run time of the
+commutation and automorphism suites.  Every function returns a fresh dict
+with zero coefficients pruned.  Given canonical coefficients (see cyclo.py)
+it returns canonical ones: an integral Fraction result is stored as an int.
+Only Fraction arithmetic can make one, so that pass runs only when a C-level
+scan of the inputs' types finds a Fraction where one can arise; int-only and
+CycloElem operands skip it.
 
-`mul_terms` multiplies large operands on packed monomials (Monagan & Pearce,
-"Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007): each exponent tuple becomes one int with a field of w
-bits per variable, the first variable most significant, so multiplying two
-monomials is one integer add.  w is the bit length of the largest possible
-product exponent, so no field can carry into the next, whatever the number
-of variables.  The keys are packed on entry and unpacked once at the end;
-`Poly.terms` and every caller keep exponent tuples.
+Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007): `pack` turns each
+exponent tuple into one int with a field of w bits per variable, the first
+variable most significant, so multiplying two monomials is one integer add;
+`unpack` turns them back.  `add_terms` and `scale_terms` work on either key
+kind as they are.  `mul_terms` runs one packed loop for both kinds:
+
+- int keys are taken as packed by the caller, who owns the width: w must
+  hold every exponent of the product, or a field carries into the next.
+  `Poly.substitute` and family generation pack once per call or per window
+  and keep their products packed throughout;
+- tuple keys are packed on entry, with w the bit length of the largest
+  possible product exponent, and unpacked once at the end, when the smaller
+  operand has PACK_MIN_TERMS terms or more; smaller ones stay on tuples.
 """
 
 from fractions import Fraction
@@ -89,19 +97,67 @@ def scale_terms(a, coef):
     return out
 
 
+def _shifts(w, nvars):
+    """Bit offsets of the nvars fields of width w, first variable first."""
+    return range(w * (nvars - 1), -1, -w)
+
+
+def pack(terms, w):
+    """terms with each exponent tuple packed into fields of w bits."""
+    if not terms:
+        return {}
+    mults = [1 << shift for shift in _shifts(w, len(next(iter(terms))))]
+    return {sum(map(_mul, e, mults)): c for e, c in terms.items()}
+
+
+def unpack(terms, w, nvars):
+    """Packed terms with w-bit fields back on exponent tuples of nvars."""
+    shifts = _shifts(w, nvars)
+    mask = (1 << w) - 1
+    return {tuple([(k >> shift) & mask for shift in shifts]): c for k, c in terms.items()}
+
+
+def _mul_packed(a, b):
+    """Product of two packed term dicts, a's terms in the outer loop."""
+    out = {}
+    get = out.get
+    b_items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            c = ca * cb
+            s = get(k)
+            if s is None:
+                if c:
+                    out[k] = c
+            else:
+                s += c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
+
+
 def mul_terms(a, b):
     """Sparse product of two term dicts.
 
-    When the smaller operand has PACK_MIN_TERMS terms or more, the product
-    runs on packed monomials (see the module docstring); smaller ones stay on
-    exponent tuples, where packing would cost more than it saves.  Both paths
-    visit the term pairs in the same order and prune in the same way, so
-    they give the same keys, values and insertion order.
+    Packed operands (int keys) multiply as they are.  Tuple-keyed ones run
+    on packed monomials when the smaller operand has PACK_MIN_TERMS terms or
+    more (see the module docstring); smaller ones stay on exponent tuples,
+    where packing would cost more than it saves.  Every path visits the term
+    pairs in the same order and prunes in the same way, so they give the
+    same keys, values and insertion order.
     """
     if len(a) > len(b):
         a, b = b, a
-    out = {}
-    if len(a) < PACK_MIN_TERMS:
+    if not a:
+        return {}
+    first = next(iter(a))
+    if type(first) is int:
+        out = _mul_packed(a, b)
+    elif len(a) < PACK_MIN_TERMS:
+        out = {}
         b_items = list(b.items())
         for ea, ca in a.items():
             for eb, cb in b_items:
@@ -118,28 +174,7 @@ def mul_terms(a, b):
     else:
         # fields of w bits hold every product exponent, so sums never carry
         w = (max(map(max, a)) + max(map(max, b))).bit_length() or 1
-        nvars = len(next(iter(a)))
-        shifts = range(w * (nvars - 1), -1, -w)
-        mults = [1 << shift for shift in shifts]
-        b_items = [(sum(map(_mul, eb, mults)), cb) for eb, cb in b.items()]
-        get = out.get
-        for ea, ca in a.items():
-            ka = sum(map(_mul, ea, mults))
-            for kb, cb in b_items:
-                k = ka + kb
-                c = ca * cb
-                s = get(k)
-                if s is None:
-                    if c:
-                        out[k] = c
-                else:
-                    s += c
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        mask = (1 << w) - 1
-        out = {tuple([(k >> shift) & mask for shift in shifts]): c for k, c in out.items()}
+        out = unpack(_mul_packed(pack(a, w), pack(b, w)), w, len(first))
     # an int times a canonical Fraction can be integral
     if Fraction in set(map(type, a.values())) or Fraction in set(map(type, b.values())):
         _ints_for_integral_fractions(out)

@@ -11,6 +11,8 @@ generate every map:
 with P_0 replaced by n in the k = n term.  For n >= K this is the published
 recursion; below K it gives the published base rows.  Results are memoized
 per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
+The recursion runs on packed monomials (see backend.py) over a window of the
+last K power sums, and each new P_n is unpacked once into its stored Poly.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
+from .backend import add_terms, mul_terms, pack, unpack
 from .poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 FAMILY_TAGS = ("a2", "b2", "g2")
@@ -80,43 +83,74 @@ FAMILIES = {
 }
 
 
-def _power_sum(es: tuple, ps: list) -> Poly:
-    """P_n, n = len(ps) >= 1, from e_1..e_K and P_0..P_{n-1} by Newton's
-    identity; a mirror pair shares one product, taken once its sum is done."""
-    n = len(ps)
+def _power_sum(es: tuple, window: list, n: int) -> dict:
+    """P_n's packed terms, n >= 1, from the packed e_1..e_K and a window
+    ending at P_{n-1}, by Newton's identity; a mirror pair shares one
+    product, taken once its sum is done."""
     top = min(n, len(es))
     acc = None
     for k in range(1, top + 1):
         e = es[k - 1]
         if any(e is d for d in es[:k - 1]):
             continue                    # summed with its mirror already
-        group = [(ps[n - j] if j < n else n, (j - k) % 2)
+        group = [(window[-j] if j < n else {0: n}, (j - k) % 2)
                  for j in range(k, top + 1) if es[j - 1] is e]
         s = group[0][0]
         for p, flip in group[1:]:
-            s = s - p if flip else s + p
-        term = s if e == 1 else e * s
-        if acc is None:
-            acc = term
-        else:
-            acc = acc + term if k % 2 else acc - term
+            s = add_terms(s, p, -1 if flip else 1)
+        term = s if e == 1 else mul_terms(e, s)
+        acc = term if acc is None else add_terms(acc, term, 1 if k % 2 else -1)
     return acc
 
 
+# Field width of a fresh packed window, in bits; _Cache widens it as n grows
+_WINDOW_BITS = 8
+
+
 class _Cache:
-    """Per family, one list P_0, P_1, ... per stored coordinate, populate-once."""
+    """Per family, one list P_0, P_1, ... per stored coordinate, populate-once.
+
+    Newton's recurrence runs on packed monomials (see backend.py): per
+    coordinate a window of the last K power sums, with e_1..e_K packed at the
+    window's width w.  With g = max deg e_k, deg P_m <= m * g by induction
+    (deg e_k P_{n-k} <= g + (n - k) * g), so no exponent of P_n or of the
+    products behind it exceeds n * g.  When the next n needs wider fields,
+    the window is repacked from the stored Polys.  Each new P_n is unpacked
+    once into its stored Poly.
+    """
 
     def __init__(self):
         self.lock = threading.Lock()
         self.stored = {tag: [[Poly.constant(es[0].vars, len(es))] for es in fam.symmetric]
                        for tag, fam in FAMILIES.items()}
+        self.grow = {tag: max(e.degree() for es in fam.symmetric for e in es[:-1])
+                     for tag, fam in FAMILIES.items()}
+        self.width = dict.fromkeys(FAMILIES, 0)
+        self.packed = {}                # tag -> per coordinate (packed es, window)
+
+    def _repack(self, tag: str, w: int):
+        self.width[tag] = w
+        self.packed[tag] = []
+        for es, ps in zip(FAMILIES[tag].symmetric, self.stored[tag]):
+            by_id = {id(e): pack(e.terms, w) for e in es[:-1]}   # a mirror pair stays one
+            packed_es = tuple(by_id[id(e)] for e in es[:-1]) + (1,)
+            self.packed[tag].append((packed_es, [pack(p.terms, w) for p in ps[-len(es):]]))
 
     def extend(self, tag: str, n: int):
         stored = self.stored[tag]
         with self.lock:
             while len(stored[-1]) <= n:
-                for es, ps in zip(FAMILIES[tag].symmetric, stored):
-                    ps.append(_power_sum(es, ps))
+                m = len(stored[-1])
+                w = (m * self.grow[tag]).bit_length()
+                if w > self.width[tag]:
+                    self._repack(tag, max(w, _WINDOW_BITS))
+                for (es, window), ps in zip(self.packed[tag], stored):
+                    p = _power_sum(es, window, m)
+                    window.append(p)
+                    if len(window) > len(es):
+                        del window[0]
+                    nvars = len(ps[0].vars)
+                    ps.append(Poly(ps[0].vars, unpack(p, self.width[tag], nvars), _internal=True))
 
 
 _CACHE = _Cache()
@@ -125,6 +159,8 @@ _CACHE = _Cache()
 def fold(tag: str, n: int) -> PolyMap2:
     """The n-th folding map of the family, in the family's native model."""
     tag = normalize_tag(tag)
+    if type(n) is not int:
+        raise TypeError(f"fold needs an int n, not {n!r}")
     if n < 0:
         raise ValueError("fold needs n >= 0")
     stored = _CACHE.stored[tag]
@@ -198,8 +234,7 @@ def verify_commute(tag: str, m: int, n: int) -> CommuteReport:
     """Check F_m o F_n = F_{mn} = F_n o F_m exactly."""
     tag = normalize_tag(tag)
     fm, fn, fmn = fold(tag, m), fold(tag, n), fold(tag, m * n)
-    left = compose(fm, fn)
-    right = compose(fn, fm)
-    lw = first_difference(left, fmn)
-    rw = first_difference(right, fmn)
+    lw = first_difference(compose(fm, fn), fmn)
+    # for m == n, F_n o F_m is the same composition as F_m o F_n
+    rw = lw if m == n else first_difference(compose(fn, fm), fmn)
     return CommuteReport(tag, m, n, lw is None, rw is None, lw, rw)

@@ -10,7 +10,10 @@ term-merge kernels in backend.py.  Substitution comes in two shapes:
 `substitute` maps every context variable to an image, possibly in a new
 context (one recursive Horner scheme for every number of variables), and
 `substitute_var` replaces one variable within the same context and leaves
-a polynomial that does not contain it untouched.
+a polynomial that does not contain it untouched.  `substitute` packs the
+images once (see backend.py), runs the power table and every Horner step on
+packed monomials, and unpacks the result once; `Poly.terms` always keeps
+exponent tuples.
 
 Coefficients are kept in the canonical form that cyclo.py makes: a value
 on the rational line is a plain int or Fraction, never a CycloElem.  Ring
@@ -25,7 +28,7 @@ lexicographic with the first context variable major, highest terms first.
 
 from __future__ import annotations
 
-from .backend import add_terms, mul_terms, scale_terms
+from .backend import add_terms, mul_terms, pack, scale_terms, unpack
 from .cyclo import (
     I_UNIT,
     CycloElem,
@@ -118,7 +121,7 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def coeff(self, exps):
         """Coefficient of the given monomial (0 when absent)."""
@@ -240,11 +243,26 @@ class Poly:
 
         if not self.terms:
             return Poly.zero(target)
-        first = imgs[0].terms
-        powers = [{(0,) * len(target): 1}]
+        if not imgs:
+            return Poly(target, dict(self.terms), _internal=True)
+        img_terms = [p.terms for p in imgs]
+        one = {(0,) * len(target): 1}
+        # degree 1 only scales and adds the images: packing would cost more
+        # than it saves.  Above it, a term of total degree d maps to a product
+        # of d images, so no exponent in the Horner scheme exceeds
+        # deg(self) * max image degree; fields that wide never carry.
+        degree = self.degree()
+        packed = degree > 1
+        if packed:
+            w = (degree * max(0, *(p.degree() for p in imgs))).bit_length() or 1
+            img_terms = [pack(t, w) for t in img_terms]
+            one = {0: 1}
+        powers = [one]
         for _ in range(max(e[0] for e in self.terms)):
-            powers.append(mul_terms(powers[-1], first))
-        terms = _subst(self.terms, [p.terms for p in imgs], powers)
+            powers.append(mul_terms(powers[-1], img_terms[0]))
+        terms = _subst(self.terms, img_terms, powers)
+        if packed:
+            terms = unpack(terms, w, len(target))
         return Poly(target, terms, _internal=True)
 
     def substitute_var(self, name, image) -> "Poly":
@@ -310,10 +328,12 @@ class Poly:
     # -- serialization -----------------------------------------------------------
 
     def to_json_obj(self) -> dict:
+        # an int coefficient's components are (c, 0, 0, 0)
         return {
             "vars": list(self.vars),
             "terms": [
-                {"e": list(e), "c": [rat_str(x) for x in coef_components(c)]}
+                {"e": list(e), "c": [rat_str(c), "0", "0", "0"] if type(c) is int
+                 else [rat_str(x) for x in coef_components(c)]}
                 for e, c in self.sorted_terms()
             ],
         }
@@ -367,8 +387,10 @@ class Poly:
 def _subst(terms, img_terms, powers):
     """Recursive Horner over the last variable.
 
-    img_terms holds one image term dict per remaining variable; powers[i]
-    is the first image to the i-th power, one table shared by every level.
+    terms has exponent tuples; img_terms holds one image term dict per
+    remaining variable; powers[i] is the first image to the i-th power, one
+    table shared by every level.  Images, powers and the result share one
+    key kind, packed or tuple.
     """
     if len(img_terms) == 1:
         acc = {}

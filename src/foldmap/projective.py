@@ -23,8 +23,8 @@ DESK_BOUND = 128
 
 # Largest map index n the command line accepts (gen, proj, aut, oracle).
 # Generation cost grows steeply with n: on a 2-core host, from a cold cache,
-# fold(tag, 200) takes 0.6 s for a2, 5.9 s for b2 and 39 s for g2, and
-# fold("a2", 700) takes 17 s.  The benchmark's `generate` workload builds
+# fold(tag, 200) takes 0.6 s for a2, 3.8 s for b2 and 19 s for g2, and
+# fold("a2", 700) takes about 25 s.  The benchmark's `generate` workload builds
 # every a2 map up to n = 200, so the bound may not go below 200.
 N_DESK_BOUND = 200
 

@@ -1,7 +1,10 @@
 """Folding-map generation, composition, and the commutation law."""
 
+from unittest import mock
+
 import pytest
 
+from foldmap import folding
 from foldmap.cyclo import CycloElem
 from foldmap.folding import (
     compose,
@@ -12,7 +15,7 @@ from foldmap.folding import (
     normalize_tag,
     verify_commute,
 )
-from foldmap.poly import Poly, XY_VARS, ZW_VARS, swap_conjugate
+from foldmap.poly import XY, Poly, PolyMap2, XY_VARS, ZW_VARS, swap_conjugate
 
 X = Poly.variable(XY_VARS, "x")
 Y = Poly.variable(XY_VARS, "y")
@@ -166,6 +169,45 @@ def test_commutation_small(tag):
         for n in range(m, 5):
             report = verify_commute(tag, m, n)
             assert report.passed, (tag, m, n, report)
+
+
+def fake_fold(tag, n):
+    """F_n = (x^n + 1, y): F_m o F_n = F_mn fails for every m, n >= 1."""
+    return PolyMap2(X**n + 1, Y, XY, f"fake:{n}")
+
+
+def test_commute_square_composes_once(monkeypatch):
+    monkeypatch.setattr(folding, "fold", fake_fold)
+    with mock.patch.object(folding, "compose", wraps=folding.compose) as spy:
+        report = verify_commute("b2", 3, 3)
+    assert spy.call_count == 1
+    assert not report.left_ok and report.left_witness is not None
+    assert (report.right_ok, report.right_witness) == (report.left_ok, report.left_witness)
+    with mock.patch.object(folding, "compose", wraps=folding.compose) as spy:
+        report = verify_commute("b2", 2, 3)
+    assert spy.call_count == 2
+    assert report.right_witness != report.left_witness
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+def test_fold_rejects_non_int_n(bad):
+    with pytest.raises(TypeError):
+        fold("a2", bad)
+
+
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_fold_window_widening_keeps_every_power_sum(tag, monkeypatch):
+    monkeypatch.setattr(folding, "_WINDOW_BITS", 1)
+    narrow = folding._Cache()
+    with mock.patch.object(narrow, "_repack", wraps=narrow._repack) as repack:
+        narrow.extend(tag, 40)
+    # starting from 1 bit, the fields widen at every power of two of n * g
+    assert repack.call_count >= 6
+    fold(tag, 40)  # the module cache, whose 8-bit fields hold every n <= 40
+    for ps_narrow, ps in zip(narrow.stored[tag], folding._CACHE.stored[tag]):
+        assert len(ps_narrow) == 41
+        for n, p in enumerate(ps_narrow):
+            assert list(p.terms.items()) == list(ps[n].terms.items()), (tag, n)
 
 
 def test_commute_witness_on_failure():

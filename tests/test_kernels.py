@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldmap import backend, backend_name
-from foldmap.backend import PACK_MIN_TERMS, add_terms, mul_terms, scale_terms
+from foldmap.backend import PACK_MIN_TERMS, add_terms, mul_terms, pack, scale_terms, unpack
 from foldmap.cyclo import CycloElem
 
 
@@ -143,6 +143,21 @@ def test_packed_product_matches_tuple_reference(pack_min_terms, operands):
     with mock.patch.object(backend, "PACK_MIN_TERMS", pack_min_terms):
         assert typed_items(mul_terms(a, b)) == typed_items(ordered_mul(a, b))
         assert typed_items(mul_terms(b, a)) == typed_items(ordered_mul(b, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_pairs())
+def test_product_on_packed_keys_matches_tuple_path(operands):
+    # the caller packs once at a width that holds every product exponent
+    a, b = operands
+    nvars = len(next(iter(a)))
+    w = (max(map(max, a)) + max(map(max, b))).bit_length() or 1
+    pa, pb = pack(a, w), pack(b, w)
+    assert unpack(pa, w, nvars) == a
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        got = unpack(mul_terms(px, py), w, nvars)
+        assert typed_items(got) == typed_items(mul_terms(x, y))
+        assert typed_items(got) == typed_items(ordered_mul(x, y))
 
 
 def test_packed_product_cancels_in_order():

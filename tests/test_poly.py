@@ -4,10 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foldmap import poly as poly_module
-from foldmap.cyclo import CycloElem, I_UNIT
+from foldmap.backend import add_terms, mul_terms, scale_terms
+from foldmap.cyclo import CycloElem, I_UNIT, coef_components
 from foldmap.folding import fold
 from foldmap.poly import (
     Poly,
@@ -19,6 +20,7 @@ from foldmap.poly import (
     xy_to_zw,
     zw_to_xy,
 )
+from foldmap.rationals import rat_str
 
 X = Poly.variable(XY_VARS, "x")
 Y = Poly.variable(XY_VARS, "y")
@@ -81,6 +83,12 @@ def test_substitute_identity_and_swap():
     assert lin == poly_from([(1, 0, 3), (0, 1, 5), (0, 0, 7)])
     with pytest.raises(ValueError):
         p.substitute({"x": X})
+
+
+def test_substitute_without_variables_returns_the_constant():
+    assert Poly((), {(): 5}).substitute({}) == Poly.constant((), 5)
+    assert Poly.zero(()).substitute({}).is_zero()
+    assert Poly((), {(): Fraction(1, 3)}).substitute({}).terms == {(): Fraction(1, 3)}
 
 
 def test_substitute_constants_only():
@@ -167,6 +175,32 @@ GOLDEN_B3_X = (
 def test_golden_serialization():
     # freezes the wire format: schema keys, term order, rational rendering
     assert json.dumps(fold("b2", 3).first.to_json_obj()) == GOLDEN_B3_X
+
+
+def generic_json_text(p):
+    """to_json_obj's text with every coefficient rendered from its components."""
+    return json.dumps({
+        "vars": list(p.vars),
+        "terms": [
+            {"e": list(e), "c": [rat_str(x) for x in coef_components(c)]}
+            for e, c in p.sorted_terms()
+        ],
+    })
+
+
+json_coeffs = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(2, 50)),
+    st.builds(lambda k, c: CycloElem.zeta_pow(k) * c, st.integers(0, 11), st.integers(-99, 99)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)), json_coeffs, max_size=8))
+@example({})  # the zero polynomial
+def test_json_integer_fast_path_matches_components(terms):
+    p = Poly(XY_VARS, terms)
+    assert json.dumps(p.to_json_obj()) == generic_json_text(p)
 
 
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -364,3 +398,90 @@ def test_substitute_var_edge_cases():
         p.substitute_var("x", Z)  # image from another context
     with pytest.raises(ValueError):
         p.substitute_var("z", X)  # not a context variable
+
+
+def tuple_subst(terms, img_terms, powers):
+    """Horner over the last variable, on exponent tuples throughout."""
+    if len(img_terms) == 1:
+        acc = {}
+        for (i,), coef in terms.items():
+            acc = add_terms(acc, scale_terms(powers[i], coef))
+        return acc
+    slices = {}
+    for exps, coef in terms.items():
+        slices.setdefault(exps[-1], {})[exps[:-1]] = coef
+    rest = img_terms[:-1]
+    last = img_terms[-1]
+    degrees = sorted(slices, reverse=True)
+    acc = tuple_subst(slices[degrees[0]], rest, powers)
+    prev = degrees[0]
+    for j in degrees[1:]:
+        for _ in range(prev - j):
+            acc = mul_terms(acc, last)
+        acc = add_terms(acc, tuple_subst(slices[j], rest, powers))
+        prev = j
+    for _ in range(prev):
+        acc = mul_terms(acc, last)
+    return acc
+
+
+def tuple_substitute(p, images):
+    """Poly.substitute's terms as computed on exponent tuples: the same
+    products in the same order, so the same keys, values and key order."""
+    target = next((i.vars for i in images.values() if isinstance(i, Poly)), p.vars)
+    imgs = [
+        images[v].terms if isinstance(images[v], Poly) else Poly.constant(target, images[v]).terms
+        for v in p.vars
+    ]
+    if not p.terms:
+        return {}
+    powers = [{(0,) * len(target): 1}]
+    for _ in range(max(e[0] for e in p.terms)):
+        powers.append(mul_terms(powers[-1], imgs[0]))
+    return tuple_subst(p.terms, imgs, powers)
+
+
+def typed_items(terms):
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+mixed_coeffs = st.one_of(cyclo_coeffs, fraction_coeffs)
+
+
+def mixed_polys(vars, max_exp, max_size):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vars))
+    return st.dictionaries(exps, mixed_coeffs, max_size=max_size).map(lambda d: Poly(vars, d))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_packed_substitute_matches_tuple_reference(data):
+    nvars = data.draw(st.integers(1, 6))
+    src = tuple(f"u{k}" for k in range(nvars))
+    dst = tuple(f"v{k}" for k in range(data.draw(st.integers(1, 6))))
+    p = data.draw(mixed_polys(src, 3 if nvars <= 3 else 2, 6))
+    images = {
+        u: data.draw(st.one_of(mixed_polys(dst, 2, 3), mixed_coeffs)) for u in src
+    }
+    got = p.substitute(images)
+    assert typed_items(got.terms) == typed_items(tuple_substitute(p, images))
+
+
+@pytest.mark.parametrize("k", [1, 20, 40])
+def test_packed_substitute_with_wide_exponents(k):
+    # exponents up to 3 * 2^k need fields wider than one 30-bit int digit
+    top = 2**k
+    p = X**3 + 2 * X * Y**2 - Y + 1
+    images = {"x": X**top + Y, "y": X * Y**top - 3}
+    assert typed_items(p.substitute(images).terms) == typed_items(tuple_substitute(p, images))
+
+
+@pytest.mark.parametrize("d, top", [(3, 5), (7, 9), (3, (2**42 - 1) // 3)])
+def test_packed_substitute_fills_its_fields(d, top):
+    # y^d -> y^(d * top) = y^(2^k - 1) reaches deg(p) * max image degree,
+    # the width bound, with every bit of y's field set
+    p = Y**d + X * Y + X
+    images = {"x": X, "y": Y**top}
+    got = p.substitute(images)
+    assert got.terms == {(0, d * top): 1, (1, top): 1, (1, 0): 1}
+    assert typed_items(got.terms) == typed_items(tuple_substitute(p, images))
