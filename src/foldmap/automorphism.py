@@ -28,7 +28,11 @@ with order dividing 12 is enumerated over the exact roots of unity in
 Q(zeta_12); a stall with any other order is reported as unresolved rather
 than guessed at.  Each rule builds its successor itself: R2 and R3 return
 the one rewritten state, R1 and the enumeration the list of child states,
-and a branch that stalls records one digest of its state and ends.  Every
+and a branch that stalls records one digest of its state and ends.  A
+binding is substituted once, when it is made (_Engine._with_sub), into
+every constraint and every earlier image.  So the engine keeps one
+invariant: no constraint and no image contains a bound unknown, and each
+pass over a state only normalizes, deduplicates and steps.  Every
 concrete branch solution is a candidate: it is certified against the
 engine's leading system and then by is_member against the full F before it
 is returned, so a complete run gives the exact group.
@@ -103,11 +107,6 @@ class AffineMap2:
             ),
             self.model,
         )
-
-    def apply_point(self, point):
-        a, b, c, d, e, f = self.coeffs
-        px, py = point
-        return (a * px + b * py + c, d * px + e * py + f)
 
     def sort_key(self):
         return tuple(tuple(rat(x) for x in coef_components(c)) for c in self.coeffs)
@@ -336,18 +335,6 @@ def _constraint_order(item):
     return (len(p.terms), p.degree(), component, -sum(exps), tuple(-e for e in exps))
 
 
-def _apply_subs(p: Poly, subs: dict) -> Poly:
-    """p with every bound unknown replaced by its image.
-
-    Images never contain bound unknowns (_with_sub keeps them reduced), so
-    one substitute_var per binding gives the simultaneous substitution; it
-    returns p itself for each unknown that does not occur.
-    """
-    for var, image in subs.items():
-        p = p.substitute_var(var, image)
-    return p
-
-
 def _reduce_exponents(p: Poly, records: dict) -> Poly:
     """Reduce exponents of recorded unknowns mod their order (v^g = 1)."""
     if p.is_zero() or not records:
@@ -455,11 +442,12 @@ class _Engine:
     # -- state transforms ---------------------------------------------------
 
     def _with_sub(self, state: ConstraintState, var: str, image: Poly) -> ConstraintState:
-        one = {var: image}
-        subs = {u: _apply_subs(p, one) for u, p in state.subs.items()}
+        """state with var bound to image, which holds no bound unknown; the
+        binding is substituted here, once, into every constraint and image."""
+        subs = {u: p.substitute_var(var, image) for u, p in state.subs.items()}
         subs[var] = image
         records = dict(state.records)
-        constraints = list(state.constraints)
+        constraints = [p.substitute_var(var, image) for p in state.constraints]
         if var in records:
             g = records.pop(var)
             # the record var^g = 1 must survive the substitution
@@ -480,7 +468,7 @@ class _Engine:
             live = []
             seen = {}  # support -> live constraints with that support
             for p in state.constraints:
-                q = _normalize(_apply_subs(p, state.subs), state.records)
+                q = _normalize(p, state.records)
                 if q.is_zero():
                     continue
                 if q.is_constant():

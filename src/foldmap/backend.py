@@ -15,31 +15,20 @@ Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007): `pack` turns each
 exponent tuple into one int with a field of w bits per variable, the first
 variable most significant, so multiplying two monomials is one integer add;
-`unpack` turns them back.  `add_terms` and `scale_terms` work on either key
-kind as they are.  `mul_terms` runs one packed loop for both kinds:
-
-- int keys are taken as packed by the caller, who owns the width: w must
-  hold every exponent of the product, or a field carries into the next.
-  `Poly.substitute` and family generation pack once per call or per window
-  and keep their products packed throughout;
-- tuple keys are packed on entry, with w the bit length of the largest
-  possible product exponent, and unpacked once at the end, when the smaller
-  operand has PACK_MIN_TERMS terms or more; smaller ones stay on tuples.
+`unpack` turns them back.  Every kernel works on either key kind as it is
+given and never converts one into the other.  Packing is the caller's
+decision, since the caller owns the width: w must hold every exponent of the
+product, or a field carries into the next.  `Poly.substitute` and family
+generation pack once per call or per window and keep their products packed
+throughout.  Every other product, such as the solver's, has operands of a
+few terms and stays on tuples, where packing on entry was measured slower.
+A future caller with large operands, such as the G2-from-A2 product
+z_n * w_n, packs them itself with `pack` and `unpack`.
 """
 
 from fractions import Fraction
 from operator import add as _add
 from operator import mul as _mul
-
-# mul_terms packs when the smaller operand has at least this many terms.
-# Packing costs one pass over each operand and one over the result, which a
-# pure monomial shift never pays back: with one term against 4920, packing
-# was 1.4x slower; with 3 terms it took 0.62-0.71x the time and with 6 terms
-# 0.54x.  Packing every product slowed the solver's tiny products (perfbench
-# `aut` 0.62 -> 0.78 s), and packing only at >= 256 term pairs slowed the
-# 1-6-term multipliers of family generation; at 3 both stay flat.
-PACK_MIN_TERMS = 3
-
 
 def backend_name() -> str:
     """Name of the live kernel implementation."""
@@ -142,21 +131,18 @@ def _mul_packed(a, b):
 def mul_terms(a, b):
     """Sparse product of two term dicts.
 
-    Packed operands (int keys) multiply as they are.  Tuple-keyed ones run
-    on packed monomials when the smaller operand has PACK_MIN_TERMS terms or
-    more (see the module docstring); smaller ones stay on exponent tuples,
-    where packing would cost more than it saves.  Every path visits the term
-    pairs in the same order and prunes in the same way, so they give the
-    same keys, values and insertion order.
+    Packed operands (int keys) run the packed loop, tuple-keyed ones the
+    tuple loop; neither is converted (see the module docstring).  Both loops
+    visit the term pairs in the same order and prune in the same way, so
+    they give the same keys, values and insertion order.
     """
     if len(a) > len(b):
         a, b = b, a
     if not a:
         return {}
-    first = next(iter(a))
-    if type(first) is int:
+    if type(next(iter(a))) is int:
         out = _mul_packed(a, b)
-    elif len(a) < PACK_MIN_TERMS:
+    else:
         out = {}
         b_items = list(b.items())
         for ea, ca in a.items():
@@ -171,10 +157,6 @@ def mul_terms(a, b):
                         del out[e]
                 elif c:
                     out[e] = c
-    else:
-        # fields of w bits hold every product exponent, so sums never carry
-        w = (max(map(max, a)) + max(map(max, b))).bit_length() or 1
-        out = unpack(_mul_packed(pack(a, w), pack(b, w)), w, len(first))
     # an int times a canonical Fraction can be integral
     if Fraction in set(map(type, a.values())) or Fraction in set(map(type, b.values())):
         _ints_for_integral_fractions(out)

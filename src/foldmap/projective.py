@@ -69,7 +69,7 @@ def indeterminacy(m: PolyMap2) -> IndeterminacyReport:
         raise ValueError("indeterminacy needs an XY-model map (convert ZW first)")
     d = m.degree()
     if d < 1:
-        raise ValueError("cannot homogenize a constant map")
+        raise ValueError("a constant map has no forms at infinity, so no indeterminacy locus")
     forms = [f for f in (p.degree_slice(d).terms for p in m.components()) if f]
     # gcd of the forms = X^a Y^b * gcd of their content-free parts, where the
     # content exponents are the minima across the forms

@@ -54,15 +54,6 @@ def _mat_vec(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
-def _mat_inv_transpose(m):
-    """(M^T)^-1 for an integer matrix with det +-1 (the dual torus action)."""
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det not in (1, -1):
-        raise ValueError("Weyl matrix must have determinant +-1")
-    inv = ((m[1][1] * det, -m[0][1] * det), (-m[1][0] * det, m[0][0] * det))
-    return ((inv[0][0], inv[1][0]), (inv[0][1], inv[1][1]))
-
-
 @dataclass(frozen=True)
 class RootSystemData:
     weyl: tuple                         # all group elements, weight basis
@@ -145,15 +136,6 @@ def _residual(data: RootSystemData, ordering, fmap, n: int, point) -> float:
     scaled = phi(data, scale_point(point, n), ordering)
     mapped = fmap.evaluate_complex(phi(data, point, ordering))
     return max(abs(scaled[0] - mapped[0]), abs(scaled[1] - mapped[1]))
-
-
-def dual_action(matrix, point):
-    """Action of a Weyl element on the torus (contragredient on L_0)."""
-    m = _mat_inv_transpose(matrix)
-    return (
-        m[0][0] * point[0] + m[0][1] * point[1],
-        m[1][0] * point[0] + m[1][1] * point[1],
-    )
 
 
 class CalibrationError(RuntimeError):

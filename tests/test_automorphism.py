@@ -90,12 +90,19 @@ def test_s3_structure_by_element_orders():
     assert sorted(element_order(m) for m in group.elements) == [1, 2]
 
 
+def apply_point(m, point):
+    """The affine map m at a point of the plane."""
+    a, b, c, d, e, f = m.coeffs
+    px, py = point
+    return (a * px + b * py + c, d * px + e * py + f)
+
+
 def test_affine_compose_and_apply():
     p = AffineMap2((0, 1, 0, 1, 0, 0), ZW)
     q = AffineMap2((ZETA3, 0, 0, 0, ZETA3**2, 0), ZW)
     pq = p.compose(q)
     assert pq.coeffs == (0, ZETA3**2, 0, ZETA3, 0, 0)
-    assert p.apply_point((1, 2)) == (2, 1)
+    assert apply_point(p, (1, 2)) == (2, 1)
     assert not AffineMap2((1, 1, 0, 1, 1, 0), XY).is_invertible()
 
 
@@ -133,7 +140,7 @@ def test_s3_permutes_triangle_vertices():
         real = m.zw_to_xy()
         images = []
         for v in vertices:
-            img = real.apply_point(v)
+            img = apply_point(real, v)
             idx = next(
                 (k for k, u in enumerate(vertices)
                  if img[0] == u[0] and img[1] == u[1]),
@@ -227,11 +234,10 @@ def test_solver_is_deterministic():
     assert a == b
 
 
-def _full_substitution(p, subs):
-    """Reference rewrite: one simultaneous substitution of every unknown."""
-    if not subs:
-        return p
-    images = {v: subs.get(v, Poly.variable(UNKNOWNS, v)) for v in UNKNOWNS}
+def _full_substitution(p, var, image):
+    """Reference for Poly.substitute_var: one simultaneous substitution of
+    every unknown, each but var by itself."""
+    images = {v: image if v == var else Poly.variable(UNKNOWNS, v) for v in UNKNOWNS}
     return p.substitute(images)
 
 
@@ -240,12 +246,37 @@ def _full_substitution(p, subs):
 )
 def test_solver_matches_full_substitution(monkeypatch, tag, n):
     fast = solve_aut(tag, n)
-    monkeypatch.setattr(automorphism, "_apply_subs", _full_substitution)
+    monkeypatch.setattr(Poly, "substitute_var", _full_substitution)
     reference = solve_aut(tag, n)
     assert json.dumps(fast.solutions.to_json_obj()) == json.dumps(
         reference.solutions.to_json_obj()
     )
     assert fast.unresolved == reference.unresolved
+
+
+def _assert_no_bound_unknown(state):
+    bound = [UNKNOWNS.index(v) for v in state.subs]
+    for p in state.constraints + list(state.subs.values()):
+        assert not any(exps[k] for exps in p.terms for k in bound), (p, sorted(state.subs))
+
+
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_no_constraint_or_image_holds_a_bound_unknown(monkeypatch, tag):
+    """The engine substitutes each binding once, when it is made, so every
+    state it processes or steps is already free of bound unknowns."""
+    visited = []
+    for name in ("_process", "_step"):
+        method = getattr(_Engine, name)
+
+        def checked(self, state, method=method):
+            _assert_no_bound_unknown(state)
+            visited.append(bool(state.subs))
+            return method(self, state)
+
+        monkeypatch.setattr(_Engine, name, checked)
+    for n in range(2, 9):
+        solve_aut(tag, n)
+    assert any(visited)  # some checked state had bindings
 
 
 def _reversed_order(item):

@@ -112,6 +112,12 @@ def test_proj_requires_n(capsys):
     assert code == 64 and "--n" in err and out == ""
 
 
+def test_proj_rejects_constant_map(capsys):
+    code, out, err = run(capsys, "proj", "--family", "a2", "--n", "0")
+    assert code == 64 and out == ""
+    assert "a constant map has no forms at infinity" in err
+
+
 @pytest.mark.parametrize("trials", ["0", "-5", str(ORACLE_MAX_TRIALS + 1)])
 def test_oracle_rejects_nonpositive_trials(capsys, trials):
     code, out, err = run(capsys, "oracle", "--family", "a2", "--n", "3", "--trials", trials)

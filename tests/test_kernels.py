@@ -2,13 +2,12 @@
 
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldmap import backend, backend_name
-from foldmap.backend import PACK_MIN_TERMS, add_terms, mul_terms, pack, scale_terms, unpack
+from foldmap import backend_name
+from foldmap.backend import add_terms, mul_terms, pack, scale_terms, unpack
 from foldmap.cyclo import CycloElem
 
 
@@ -128,21 +127,23 @@ def operand_pairs(draw):
     kinds = [small_ints, fraction_coefs, cyclos]
     coefs = draw(st.sampled_from(kinds + [st.one_of(*kinds)]))
     keys = st.tuples(*[st.integers(0, top)] * nvars)
-    a = draw(st.dictionaries(keys, coefs, min_size=1, max_size=2 * PACK_MIN_TERMS))
+    a = draw(st.dictionaries(keys, coefs, min_size=1, max_size=6))
     b = draw(st.dictionaries(keys, coefs, min_size=1, max_size=12))
     return a, b
 
 
-@pytest.mark.parametrize("pack_min_terms", [PACK_MIN_TERMS, 1])
+@pytest.mark.parametrize("factors", [1, 3])
 @settings(max_examples=150, deadline=None)
 @given(operand_pairs())
-def test_packed_product_matches_tuple_reference(pack_min_terms, operands):
-    # with the threshold at 1 every product, even of one all-zero monomial,
-    # takes the packed path
+def test_packed_product_matches_tuple_reference(factors, operands):
+    # a chain a*b*...*b of `factors` products, each fed the last product,
+    # as powers and compositions feed the kernel its own output
     a, b = operands
-    with mock.patch.object(backend, "PACK_MIN_TERMS", pack_min_terms):
-        assert typed_items(mul_terms(a, b)) == typed_items(ordered_mul(a, b))
-        assert typed_items(mul_terms(b, a)) == typed_items(ordered_mul(b, a))
+    got = want = a
+    for _ in range(factors):
+        assert typed_items(mul_terms(b, got)) == typed_items(ordered_mul(b, want))
+        got, want = mul_terms(got, b), ordered_mul(want, b)
+        assert typed_items(got) == typed_items(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -171,11 +172,13 @@ def test_packed_product_cancels_in_order():
 @pytest.mark.parametrize("k", [1, 7, 20, 30, 40])
 def test_packed_fields_do_not_carry(k):
     # all-ones exponents 2^k - 1 in adjacent fields: their sums need k + 1
-    # bits, so k-bit fields would carry into the next variable
+    # bits, so k-bit fields would carry into the next variable; the caller
+    # packs at the width of the largest product exponent, which holds them
     top = 2**k - 1
     a = {(top, top, top): 1, (top, 0, top): 2, (0, top, 0): 3}
     b = {(top, top, top): 5, (0, top, top): -1, (top, 0, 0): 7}
-    got = mul_terms(a, b)
+    w = (2 * top).bit_length()
+    got = unpack(mul_terms(pack(a, w), pack(b, w)), w, 3)
     assert list(got.items()) == list(ordered_mul(a, b).items())
     assert got[(2 * top, 2 * top, 2 * top)] == 5
 

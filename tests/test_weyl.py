@@ -11,7 +11,6 @@ from foldmap.weyl import (
     calibrate,
     chebyshev,
     check_scaling,
-    dual_action,
     get_system,
     phi,
     scale_point,
@@ -20,6 +19,19 @@ from foldmap.weyl import (
 
 SIZES = {"a2": (3, 3), "b2": (4, 4), "g2": (6, 6)}
 ORDERS = {"a2": 6, "b2": 8, "g2": 12}
+
+
+def dual_action(matrix, point):
+    """Action of a Weyl element on the torus: the contragredient (M^T)^-1,
+    for an integer matrix M with determinant +-1."""
+    (p, q), (r, s) = matrix
+    det = p * s - q * r
+    assert det in (1, -1), "Weyl matrix must have determinant +-1"
+    # (M^T)^-1 = det * ((s, -r), (-q, p)) since det = 1 / det
+    return (
+        det * (s * point[0] - r * point[1]),
+        det * (-q * point[0] + p * point[1]),
+    )
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
