@@ -2,7 +2,7 @@
 
 from .backend import backend_name
 from .cyclo import CycloElem
-from .poly import Poly, PolyMap2, swap_conjugate, xy_to_zw, zw_to_xy
+from .poly import Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 __version__ = "0.1.0"
 
@@ -12,7 +12,6 @@ __all__ = [
     "PolyMap2",
     "backend_name",
     "swap_conjugate",
-    "xy_to_zw",
     "zw_to_xy",
     "__version__",
 ]

@@ -23,7 +23,9 @@ lowest degree first; see _constraint_order) under three rewrite rules:
 
 Order records justify two sound normalizations used throughout: exponents
 of recorded unknowns are reduced mod the recorded order, and recorded-unit
-monomial factors are cancelled.  When no rule applies, a recorded unknown
+monomial factors are cancelled.  _times_units is the one place where
+records change exponents: normalization, R2's image and R1's cofactor all
+multiply by a monomial through it.  When no rule applies, a recorded unknown
 with order dividing 12 is enumerated over the exact roots of unity in
 Q(zeta_12); a stall with any other order is reported as unresolved rather
 than guessed at.  Each rule builds its successor itself: R2 and R3 return
@@ -53,7 +55,7 @@ from .cyclo import (
     unity_order,
 )
 from .folding import compose, fold, normalize_tag
-from .poly import XY, ZW, ZW_VARS, Poly, PolyMap2, zw_to_xy
+from .poly import XY, ZW, Poly, PolyMap2
 from .rationals import rat, rat_str
 
 UNKNOWNS = ("a", "b", "c", "d", "e", "f")
@@ -124,23 +126,6 @@ class AffineMap2:
             "model": self.model,
             "coeffs": [[rat_str(x) for x in coef_components(c)] for c in self.coeffs],
         }
-
-    def zw_to_xy(self) -> "AffineMap2":
-        """Change of basis z = x + iy for a ZW map preserving the real locus.
-
-        Requires (d, e, f) = (conj b, conj a, conj c), i.e. the second
-        component is the conjugate of the first under the variable swap;
-        raises ValueError (poly.RealFormError) otherwise.
-        """
-        real = zw_to_xy(self.as_polymap(ZW_VARS))
-        return AffineMap2(
-            tuple(
-                comp.coeff(exps)
-                for comp in (real.first, real.second)
-                for exps in ((1, 0), (0, 1), (0, 0))
-            ),
-            XY,
-        )
 
     def __repr__(self):
         return f"AffineMap2[{self.model}]{self.coeffs!r}"
@@ -335,22 +320,19 @@ def _constraint_order(item):
     return (len(p.terms), p.degree(), component, -sum(exps), tuple(-e for e in exps))
 
 
-def _reduce_exponents(p: Poly, records: dict) -> Poly:
-    """Reduce exponents of recorded unknowns mod their order (v^g = 1)."""
-    if p.is_zero() or not records:
-        return p
-    rec = [(UNKNOWNS.index(v), g) for v, g in records.items()]
-    if not any(e[k] >= g for e in p.terms for k, g in rec):
-        return p
+def _times_units(p: Poly, shift, records: dict) -> Poly:
+    """p * prod(v^shift_v), with the exponent of every recorded unknown
+    reduced mod its order (v^g = 1): the one place records change exponents.
+
+    A negative shift is the unit's inverse on a recorded unknown; on any
+    other unknown it divides monomial content out of every term.
+    """
+    orders = [records.get(v, 0) for v in UNKNOWNS]
     terms = {}
     for exps, coef in p.terms.items():
-        le = list(exps)
-        for k, g in rec:
-            if le[k] >= g:
-                le[k] %= g
-        key = tuple(le)
+        key = tuple([(e + s) % g if g else e + s for e, s, g in zip(exps, shift, orders)])
         acc = terms.get(key)
-        terms[key] = coef if acc is None else acc + coef
+        terms[key] = coef if acc is None else coef_simplify(acc + coef)
     return Poly(UNKNOWNS, {e: c for e, c in terms.items() if c}, _internal=True)
 
 
@@ -359,28 +341,24 @@ def _content(p: Poly) -> list:
     return [min(col) for col in zip(*p.terms)]
 
 
-def _divide_monomial(p: Poly, mono) -> Poly:
-    """p / prod(v^m) for a monomial (exponents mono) dividing every term."""
-    return Poly(
-        UNKNOWNS,
-        {tuple(e - m for e, m in zip(exps, mono)): c for exps, c in p.terms.items()},
-        _internal=True,
-    )
+_ORIGIN = (0,) * len(UNKNOWNS)
 
 
 def _normalize(p: Poly, records: dict) -> Poly:
     """Exponent reduction, unit-content cancellation, monic scaling."""
-    p = _reduce_exponents(p, records)
+    if records:
+        rec = [(UNKNOWNS.index(v), g) for v, g in records.items()]
+        if any(e[k] >= g for e in p.terms for k, g in rec):
+            p = _times_units(p, _ORIGIN, records)
     if p.is_zero():
         return p
     if records:
-        shift = [m if v in records else 0 for v, m in zip(UNKNOWNS, _content(p))]
+        shift = [-m if v in records else 0 for v, m in zip(UNKNOWNS, _content(p))]
         if any(shift):
-            p = _divide_monomial(p, shift)
+            p = _times_units(p, shift, records)
     _, lead = p.leading_term()
     if lead != 1:
-        inv = coef_div(1, lead)
-        p = p.map_coefficients(lambda co: co * inv)
+        p = p * coef_div(1, lead)
     return p
 
 
@@ -389,8 +367,7 @@ def _linear_image(p: Poly, var_index: int, records: dict):
 
     p must be linear in v with a unit coefficient: p = coef * m * v + r with
     v absent from r, and m a monomial in unknowns that carry records, so that
-    m^-1 = prod(u^(-e mod g)) is a monomial too.  The image is
-    -r * coef^-1 * m^-1 with its exponents reduced.
+    m^-1 is a monomial too.  The image is -r * coef^-1 * m^-1.
     """
     lead = [(exps, coef) for exps, coef in p.terms.items() if exps[var_index]]
     if len(lead) != 1 or lead[0][0][var_index] != 1:
@@ -399,15 +376,9 @@ def _linear_image(p: Poly, var_index: int, records: dict):
     mono = [0 if k == var_index else e for k, e in enumerate(exps)]
     if any(e and v not in records for v, e in zip(UNKNOWNS, mono)):
         return None
-    inverse = tuple((-e) % records[v] if e else 0 for v, e in zip(UNKNOWNS, mono))
     rest = {ex: co for ex, co in p.terms.items() if not ex[var_index]}
-    image = Poly(UNKNOWNS, rest, _internal=True) * Poly(
-        UNKNOWNS, {inverse: coef_div(1, coef)}, _internal=True
-    )
-    return _reduce_exponents(-image, records)
-
-
-_ORIGIN = (0,) * len(UNKNOWNS)
+    image = Poly(UNKNOWNS, rest, _internal=True) * coef_div(-1, coef)
+    return _times_units(image, [-e for e in mono], records)
 
 
 def _as_power_equation(p: Poly):
@@ -523,7 +494,7 @@ class _Engine:
                     if m > 0 and v not in records
                 ]
                 if len(p.terms) > 1:
-                    cofactor = _divide_monomial(p, mins)
+                    cofactor = _times_units(p, [-m for m in mins], records)
                     swapped = [cofactor if q is p else q for q in state.constraints]
                     children.append(ConstraintState(swapped, dict(state.subs), dict(records)))
                 return self._split(state, children)

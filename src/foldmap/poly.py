@@ -19,8 +19,8 @@ Coefficients are kept in the canonical form that cyclo.py makes: a value
 on the rational line is a plain int or Fraction, never a CycloElem.  Ring
 operations and substitutions need no pass of their own for this, because
 every CycloElem operation already returns that form; values from outside
-(the constructor, Poly.constant, scalar operands, map_coefficients) are
-checked and brought into it by _exact_coef.
+(the constructor, Poly.constant, scalar operands) are checked and brought
+into it by _exact_coef.
 
 Canonical term order everywhere (printing, JSON, witnesses): graded
 lexicographic with the first context variable major, highest terms first.
@@ -206,14 +206,6 @@ class Poly:
         return NotImplemented
 
     __hash__ = None
-
-    def map_coefficients(self, fn) -> "Poly":
-        out = {}
-        for e, c in self.terms.items():
-            c = _exact_coef(fn(c))
-            if c:
-                out[e] = c
-        return Poly(self.vars, out, _internal=True)
 
     # -- substitution -------------------------------------------------------
 
@@ -501,8 +493,9 @@ def zw_to_xy(m: PolyMap2) -> PolyMap2:
     """Rewrite a conjugate-symmetric ZW map in xy-coordinates.
 
     Requires second = swap_conjugate(first); substitutes z = x + iy,
-    w = x - iy and splits the first component into real and imaginary
-    parts, which are the x- and y-coordinates of the real form.
+    w = x - iy into the first component q and splits it into real and
+    imaginary parts with its coefficient conjugate q_bar: (q + q_bar)/2 and
+    (q - q_bar)/(2i) are the x- and y-coordinates of the real form.
     """
     if m.model != ZW:
         raise ValueError("zw_to_xy needs a ZW-model map")
@@ -515,18 +508,5 @@ def zw_to_xy(m: PolyMap2) -> PolyMap2:
     y = Poly.variable(XY_VARS, "y")
     zvar, wvar = m.first.vars
     q = m.first.substitute({zvar: x + I_UNIT * y, wvar: x - I_UNIT * y})
-    u = q.map_coefficients(lambda c: (c + coef_conj(c)) * rat(1, 2))
-    v = q.map_coefficients(lambda c: (c - coef_conj(c)) * _MINUS_HALF_I)
-    return PolyMap2(u, v, XY, m.label)
-
-
-def xy_to_zw(m: PolyMap2) -> PolyMap2:
-    """Inverse of zw_to_xy: x = (z+w)/2, y = (z-w)/(2i)."""
-    if m.model != XY:
-        raise ValueError("xy_to_zw needs an XY-model map")
-    z = Poly.variable(ZW_VARS, "z")
-    w = Poly.variable(ZW_VARS, "w")
-    xvar, yvar = m.first.vars
-    images = {xvar: (z + w) * rat(1, 2), yvar: (z - w) * _MINUS_HALF_I}
-    first = m.first.substitute(images) + I_UNIT * m.second.substitute(images)
-    return PolyMap2(first, swap_conjugate(first), ZW, m.label)
+    q_bar = Poly(XY_VARS, {e: coef_conj(c) for e, c in q.terms.items()}, _internal=True)
+    return PolyMap2((q + q_bar) * rat(1, 2), (q - q_bar) * _MINUS_HALF_I, XY, m.label)

@@ -1,5 +1,6 @@
 """Automorphism membership, claimed groups, and the elimination solver."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from foldmap.automorphism import (
     _Engine,
     _as_power_equation,
     _linear_image,
-    _reduce_exponents,
+    _normalize,
     claimed_group,
     collect_constraints,
     is_member,
@@ -23,7 +24,7 @@ from foldmap.automorphism import (
 )
 from foldmap.cyclo import CycloElem, SQRT3
 from foldmap.folding import fold
-from foldmap.poly import XY, XY_VARS, ZW, Poly, PolyMap2
+from foldmap.poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, zw_to_xy
 from foldmap.rationals import rat
 
 ZETA3 = CycloElem.zeta_pow(4)
@@ -106,14 +107,28 @@ def test_affine_compose_and_apply():
     assert not AffineMap2((1, 1, 0, 1, 1, 0), XY).is_invertible()
 
 
+def affine_zw_to_xy(m):
+    """The ZW affine map m in real (x, y) coordinates, through poly.zw_to_xy;
+    ValueError unless (d, e, f) = (conj b, conj a, conj c)."""
+    real = zw_to_xy(m.as_polymap(ZW_VARS))
+    return AffineMap2(
+        tuple(
+            comp.coeff(exps)
+            for comp in real.components()
+            for exps in ((1, 0), (0, 1), (0, 0))
+        ),
+        XY,
+    )
+
+
 def test_zw_to_xy_conversion_is_real():
-    conjugation = AffineMap2((0, 1, 0, 1, 0, 0), ZW).zw_to_xy()
+    conjugation = affine_zw_to_xy(AffineMap2((0, 1, 0, 1, 0, 0), ZW))
     assert conjugation.coeffs == (1, 0, 0, 0, -1, 0)
-    rotation = AffineMap2((ZETA3, 0, 0, 0, ZETA3**2, 0), ZW).zw_to_xy()
+    rotation = affine_zw_to_xy(AffineMap2((ZETA3, 0, 0, 0, ZETA3**2, 0), ZW))
     half = CycloElem(rat(1, 2))
     assert rotation.coeffs[0] == -half
     with pytest.raises(ValueError):
-        AffineMap2((ZETA3, 0, 0, 0, 1, 0), ZW).zw_to_xy()
+        affine_zw_to_xy(AffineMap2((ZETA3, 0, 0, 0, 1, 0), ZW))
 
 
 def test_affine_entries_are_canonical():
@@ -137,7 +152,7 @@ def test_s3_permutes_triangle_vertices():
     assert group.label == "S3"
     permutations = set()
     for m in group.elements:
-        real = m.zw_to_xy()
+        real = affine_zw_to_xy(m)
         images = []
         for v in vertices:
             img = apply_point(real, v)
@@ -279,6 +294,37 @@ def test_no_constraint_or_image_holds_a_bound_unknown(monkeypatch, tag):
     assert any(visited)  # some checked state had bindings
 
 
+def _is_canonical(c):
+    """A rational value is a plain int or a non-integral Fraction."""
+    if isinstance(c, CycloElem):
+        return not c.is_rational()
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_every_solver_coefficient_is_canonical(monkeypatch, tag):
+    """_step sees the normalized constraints: none of them, and no image in
+    subs, holds an integral Fraction or a rational CycloElem."""
+    step = _Engine._step
+
+    def checked(self, state):
+        for p in state.constraints + list(state.subs.values()):
+            assert all(_is_canonical(c) for c in p.terms.values()), (p, p.terms)
+        return step(self, state)
+
+    monkeypatch.setattr(_Engine, "_step", checked)
+    for n in range(2, 9):
+        solve_aut(tag, n)
+
+
+def test_normalize_merges_to_canonical_values():
+    # a^3 = 1 merges 1/2 a^3 and 1/2 into the int 1
+    a, b = (Poly.variable(UNKNOWNS, v) for v in "ab")
+    q = _normalize(a**3 * rat(1, 2) + rat(1, 2) + b, {"a": 3})
+    assert q == b + 1
+    assert all(type(c) is int for c in q.terms.values())
+
+
 def _reversed_order(item):
     """automorphism._constraint_order with every comparison flipped."""
     (component, exps), p = item
@@ -407,6 +453,17 @@ def linear_constraints(draw):
     return Poly(UNKNOWNS, terms), k, records
 
 
+def _reduced(p, records):
+    """Reference: p with each recorded unknown's exponents taken mod its
+    order, merged by Poly addition."""
+    orders = [records.get(v) for v in UNKNOWNS]
+    out = Poly.zero(UNKNOWNS)
+    for exps, coef in p.terms.items():
+        key = tuple(e % g if g else e for e, g in zip(exps, orders))
+        out = out + Poly(UNKNOWNS, {key: coef})
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(linear_constraints())
 def test_linear_image_solves_the_constraint(case):
@@ -415,7 +472,7 @@ def test_linear_image_solves_the_constraint(case):
     if image is None:
         return
     assert all(exps[k] == 0 for exps in image.terms)
-    assert _reduce_exponents(p.substitute_var(UNKNOWNS[k], image), records).is_zero()
+    assert _reduced(p.substitute_var(UNKNOWNS[k], image), records).is_zero()
 
 
 origin = (0,) * len(UNKNOWNS)
@@ -528,3 +585,19 @@ def test_solver_equals_claimed_group(tag, n):
     assert out.complete
     assert out.solutions.elements == claimed.elements
     assert out.solutions.label == claimed.label
+
+
+# sha256 over json.dumps([solutions.to_json_obj(), unresolved], sort_keys=True)
+# for a2, then b2, then g2, each at n = 2..14
+SOLVER_DIGEST = "a4ae4aa83ec1c7a8994a5b73a468ad52384574e69a17283d7f4cfe9c29a4fe46"
+
+
+def test_solver_output_is_pinned():
+    digest = hashlib.sha256()
+    for tag in ("a2", "b2", "g2"):
+        for n in range(2, 15):
+            out = solve_aut(tag, n)
+            digest.update(
+                json.dumps([out.solutions.to_json_obj(), out.unresolved], sort_keys=True).encode()
+            )
+    assert digest.hexdigest() == SOLVER_DIGEST

@@ -17,7 +17,6 @@ from foldmap.poly import (
     XY_VARS,
     ZW_VARS,
     swap_conjugate,
-    xy_to_zw,
     zw_to_xy,
 )
 from foldmap.rationals import rat_str
@@ -123,6 +122,14 @@ def test_zw_to_xy_rejects_malformed():
         zw_to_xy(bad)
     with pytest.raises(ValueError):
         zw_to_xy(PolyMap2(X, Y, "XY", "wrong-model"))
+
+
+def xy_to_zw(m):
+    """Inverse of zw_to_xy: x = (z + w)/2, y = (z - w)/(2i)."""
+    x_var, y_var = m.first.vars
+    images = {x_var: (Z + W) * Fraction(1, 2), y_var: (Z - W) * (I_UNIT * Fraction(-1, 2))}
+    first = m.first.substitute(images) + I_UNIT * m.second.substitute(images)
+    return PolyMap2(first, swap_conjugate(first), "ZW", m.label)
 
 
 @pytest.mark.parametrize("n", range(0, 11))
