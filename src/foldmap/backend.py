@@ -24,6 +24,12 @@ throughout.  Every other product, such as the solver's, has operands of a
 few terms and stays on tuples, where packing on entry was measured slower.
 A future caller with large operands, such as the G2-from-A2 product
 z_n * w_n, packs them itself with `pack` and `unpack`.
+
+`unpack` shares exponent tuples: one packed monomial at one width always
+unpacks to the same tuple object, from a memo that holds one entry per
+distinct monomial the process has unpacked and is never pruned.  So the
+stored maps, whose many terms repeat few exponent vectors, hold one tuple
+per monomial rather than one per term.
 """
 
 from fractions import Fraction
@@ -99,11 +105,33 @@ def pack(terms, w):
     return {sum(map(_mul, e, mults)): c for e, c in terms.items()}
 
 
+# (w, nvars) -> {packed monomial: its exponent tuple}; see unpack
+_TUPLES = {}
+
+
 def unpack(terms, w, nvars):
-    """Packed terms with w-bit fields back on exponent tuples of nvars."""
-    shifts = _shifts(w, nvars)
-    mask = (1 << w) - 1
-    return {tuple([(k >> shift) & mask for shift in shifts]): c for k, c in terms.items()}
+    """Packed terms with w-bit fields back on exponent tuples of nvars.
+
+    Returns the same keys, values and insertion order as building a fresh
+    tuple per term, but each tuple comes from a memo kept per (w, nvars):
+    unpacking one packed monomial at one width always returns the same
+    tuple object, so every Poly that family generation and
+    `Poly.substitute` build shares one tuple per monomial instead of
+    holding a private one per term.  The memo is never pruned; it holds one
+    entry per distinct monomial unpacked in the process (28,102 after the
+    perfbench `aut`, `battery` and `generate` workloads ran in one process),
+    far fewer than the stored terms (933,168 in the family cache after
+    fold a2 200, b2 150 and g2 90, over 11,476 exponent vectors).
+    """
+    table = _TUPLES.setdefault((w, nvars), {})
+    missing = terms.keys() - table.keys()
+    if missing:
+        shifts = _shifts(w, nvars)
+        mask = (1 << w) - 1
+        for k in missing:
+            # setdefault never replaces a tuple another thread stored first
+            table.setdefault(k, tuple([(k >> shift) & mask for shift in shifts]))
+    return dict(zip(map(table.__getitem__, terms), terms.values()))
 
 
 def _mul_packed(a, b):

@@ -59,7 +59,8 @@ def _get_map(family: str, n: int | None, model: str) -> PolyMap2:
 
 def _render_map(m: PolyMap2, fmt: str, n) -> str:
     if fmt == "json":
-        return json.dumps(m.to_json_obj())
+        # to_json_obj builds a fresh tree with no cycle, so the check is waste
+        return json.dumps(m.to_json_obj(), check_circular=False)
     if fmt == "latex":
         index = n if n is not None else m.label
         return f"{index} & {m.first.to_latex()} & {m.second.to_latex()} \\\\"

@@ -6,7 +6,7 @@ import pytest
 
 from foldmap import suites
 from foldmap.cli import main
-from foldmap.folding import fold, half_fold
+from foldmap.folding import fold, fold_xy, half_fold
 from foldmap.poly import PolyMap2
 from foldmap.projective import N_DESK_BOUND
 from foldmap.reports import VerificationReport
@@ -23,6 +23,23 @@ def test_gen_json_round_trips(capsys):
     code, out, _ = run(capsys, "gen", "--family", "g2", "--n", "10")
     assert code == 0
     assert PolyMap2.from_json_obj(json.loads(out)) == fold("g2", 10)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("--family", "a2", "--n", "7"), lambda: fold("a2", 7)),
+        (("--family", "b2", "--n", "7"), lambda: fold("b2", 7)),
+        (("--family", "g2", "--n", "7"), lambda: fold("g2", 7)),
+        (("--family", "a2", "--n", "5", "--model", "xy"), lambda: fold_xy("a2", 5)),
+        (("--family", "bsqrt2"), lambda: half_fold("b_sqrt2")),
+        (("--family", "gsqrt3"), lambda: half_fold("g_sqrt3")),
+    ],
+)
+def test_gen_json_is_the_plain_dump(capsys, argv, want):
+    # gen skips json.dumps' cycle check; the bytes must not change
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0 and out == json.dumps(want().to_json_obj()) + "\n"
 
 
 def test_gen_latex_row(capsys):

@@ -210,6 +210,18 @@ def test_fold_window_widening_keeps_every_power_sum(tag, monkeypatch):
             assert list(p.terms.items()) == list(ps[n].terms.items()), (tag, n)
 
 
+def test_stored_polys_share_one_tuple_per_monomial():
+    # a fresh cache, whose 8-bit fields hold every n here from the start; the
+    # module cache may have been widened part way by earlier tests
+    cache = folding._Cache()
+    for tag, n in (("b2", 40), ("g2", 30)):
+        cache.extend(tag, n)
+        assert cache.width[tag] == folding._WINDOW_BITS
+        # P_0 is the constant K, stored before the recurrence runs
+        exps = [e for ps in cache.stored[tag] for p in ps[1:] for e in p.terms]
+        assert len(set(map(id, exps))) == len(set(exps)), tag
+
+
 def test_commute_witness_on_failure():
     lhs = fold("b2", 2)
     tweaked = Poly(XY_VARS, dict(lhs.first.terms))

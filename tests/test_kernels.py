@@ -161,6 +161,44 @@ def test_product_on_packed_keys_matches_tuple_path(operands):
         assert typed_items(got) == typed_items(ordered_mul(x, y))
 
 
+def unpack_reference(packed, w, nvars):
+    """A fresh exponent tuple per term, read from the last field up."""
+    out = {}
+    for k, c in packed.items():
+        exps = []
+        for _ in range(nvars):
+            k, e = divmod(k, 2**w)
+            exps.append(e)
+        out[tuple(reversed(exps))] = c
+    return out
+
+
+@st.composite
+def tuple_terms(draw):
+    """Term dicts of 0 to 6 variables and a field width w that holds them,
+    with field-filling exponents 2**w - 1 among the keys."""
+    nvars = draw(st.integers(0, 6))
+    w = draw(st.sampled_from([1, 2, 3, 8, 30, 31, 40]))
+    exps = st.one_of(st.just(2**w - 1), st.integers(0, 2**w - 1))
+    coefs = st.one_of(small_ints, fraction_coefs, cyclos)
+    terms = draw(st.dictionaries(st.tuples(*[exps] * nvars), coefs, max_size=8))
+    return terms, w, nvars
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_terms())
+def test_unpack_matches_tuple_reference_and_shares_tuples(case):
+    terms, w, nvars = case
+    packed = pack(terms, w)
+    got = unpack(packed, w, nvars)
+    assert typed_items(got) == typed_items(unpack_reference(packed, w, nvars))
+    assert typed_items(got) == typed_items(terms)
+    # a later call on the same monomials, in another order, returns the
+    # very tuples of the first
+    again = {e: e for e in unpack(dict(reversed(packed.items())), w, nvars)}
+    assert all(again[e] is e for e in got)
+
+
 def test_packed_product_cancels_in_order():
     # (1 + x + x^2)(1 - x + x^3 - x^4) = 1 - x^6: every middle term cancels
     a = {(0,): 1, (1,): 1, (2,): 1}
