@@ -437,17 +437,17 @@ class _Engine:
         """Rewrite one branch until it splits or ends: its children, or []."""
         while True:
             live = []
-            seen = {}  # support -> live constraints with that support
+            seen = set()
             for p in state.constraints:
                 q = _normalize(p, state.records)
                 if q.is_zero():
                     continue
                 if q.is_constant():
                     return []  # nonzero constant: inconsistent branch
-                twins = seen.setdefault(frozenset(q.terms), [])
-                if any(q.terms == r.terms for r in twins):
+                key = frozenset(q.terms.items())
+                if key in seen:
                     continue
-                twins.append(q)
+                seen.add(key)
                 live.append(q)
             state.constraints = live
             if self._det_poly(state.subs).is_zero():

@@ -220,11 +220,6 @@ _ZETA_POWERS = (
     CycloElem(0, 1, 0, -1),
 )
 
-ZETA = CycloElem.zeta_pow(1)
-I_UNIT = CycloElem.zeta_pow(3)
-ZETA3 = CycloElem.zeta_pow(4)
-SQRT3 = CycloElem(0, 2, 0, -1)  # z + z^11
-
 
 def roots_of_unity(order: int):
     """All solutions of v^order = 1 in Q(zeta_12); requires order | 12."""

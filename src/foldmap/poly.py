@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from .backend import add_terms, mul_terms, pack, scale_terms, unpack
 from .cyclo import (
-    I_UNIT,
     CycloElem,
     coef_components,
     coef_conj,
@@ -492,10 +491,12 @@ class RealFormError(ValueError):
 def zw_to_xy(m: PolyMap2) -> PolyMap2:
     """Rewrite a conjugate-symmetric ZW map in xy-coordinates.
 
-    Requires second = swap_conjugate(first); substitutes z = x + iy,
-    w = x - iy into the first component q and splits it into real and
-    imaginary parts with its coefficient conjugate q_bar: (q + q_bar)/2 and
-    (q - q_bar)/(2i) are the x- and y-coordinates of the real form.
+    Requires second = swap_conjugate(first).  The first component P becomes
+    q(x, y) = P(x + iy, x - iy), split into real and imaginary parts with
+    its coefficient conjugate q_bar: (q + q_bar)/2 and (q - q_bar)/(2i) are
+    the x- and y-coordinates of the real form.  q is built from the integer
+    images, as q_s(x, s) = P(x + s, x - s), since q(x, y) = q_s(x, iy): each
+    term x^a y^b of q_s is multiplied by i^b.
     """
     if m.model != ZW:
         raise ValueError("zw_to_xy needs a ZW-model map")
@@ -507,6 +508,11 @@ def zw_to_xy(m: PolyMap2) -> PolyMap2:
     x = Poly.variable(XY_VARS, "x")
     y = Poly.variable(XY_VARS, "y")
     zvar, wvar = m.first.vars
-    q = m.first.substitute({zvar: x + I_UNIT * y, wvar: x - I_UNIT * y})
+    q_s = m.first.substitute({zvar: x + y, wvar: x - y})
+    q = Poly(
+        XY_VARS,
+        {e: c * CycloElem.zeta_pow(3 * e[1]) for e, c in q_s.terms.items()},
+        _internal=True,
+    )
     q_bar = Poly(XY_VARS, {e: coef_conj(c) for e, c in q.terms.items()}, _internal=True)
     return PolyMap2((q + q_bar) * rat(1, 2), (q - q_bar) * _MINUS_HALF_I, XY, m.label)

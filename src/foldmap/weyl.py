@@ -9,11 +9,15 @@ pair of real numbers and phi_k is a finite sum of exp(2*pi*i <weight,
 point>) terms.
 
 The only free choice left by that construction is which orbit sum plays
-which coordinate of the plane; calibrate() fixes it empirically by testing
-both orderings of Phi against the family's explicit quadratic map, which is
-also the end-to-end validation of the root data.  The orbit sums (rather
-than full Weyl-group sums) are forced by the constant maps F_0: the orbit
-sizes (3,3) / (4,4) / (6,6) match them, |W|-fold sums would not.
+which coordinate of the plane.  That is a fixed fact of each family, so it
+is a table, FIRST_WEIGHT, and not a run-time search against the exact maps:
+the oracle reads nothing from folding but the map it checks, and a wrong
+F_2 fails the oracle at n = 2 alone.  For b2 and g2 only one order
+satisfies the scaling identity; for a2 both do, because the map is
+conjugation-symmetric, and the table keeps z as the w1 orbit sum.  The
+orbit sums (rather than full Weyl-group sums) are forced by the constant
+maps F_0: the orbit sizes (3,3) / (4,4) / (6,6) match them, |W|-fold sums
+would not.
 
 The module also carries the symbolic Chebyshev oracle: the B-family map of
 index n satisfies F_n(u+v, uv) = (T_n(u)+T_n(v), T_n(u)T_n(v)) with the
@@ -40,6 +44,10 @@ CARTAN = {
 
 WEYL_ORDER = {"a2": 6, "b2": 8, "g2": 12}
 
+# The fundamental weight whose orbit sum is the first plane coordinate; the
+# other fundamental weight's orbit sum is the second.
+FIRST_WEIGHT = {"a2": (1, 0), "b2": (0, 1), "g2": (0, 1)}
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -57,7 +65,7 @@ def _mat_vec(m, v):
 @dataclass(frozen=True)
 class RootSystemData:
     weyl: tuple                         # all group elements, weight basis
-    orbits: tuple                       # (orbit of w1, orbit of w2)
+    orbits: tuple                       # orbits in plane-coordinate order
 
 
 def _simple_reflections(cartan):
@@ -105,7 +113,8 @@ def get_system(tag: str) -> RootSystemData:
             f"Weyl closure for {tag} has order {len(weyl)}, "
             f"expected {WEYL_ORDER[tag]}"
         )
-    orbits = (_orbit(weyl, (1, 0)), _orbit(weyl, (0, 1)))
+    first = FIRST_WEIGHT[tag]
+    orbits = (_orbit(weyl, first), _orbit(weyl, (first[1], first[0])))
     return RootSystemData(weyl, orbits)
 
 
@@ -119,53 +128,20 @@ def orbit_sum(orbit, point) -> complex:
     )
 
 
-def phi(data: RootSystemData, point, ordering):
-    """(phi_1, phi_2) at a torus point, under the calibrated orbit ordering."""
-    return (
-        orbit_sum(data.orbits[ordering[0]], point),
-        orbit_sum(data.orbits[ordering[1]], point),
-    )
+def phi(data: RootSystemData, point):
+    """(phi_1, phi_2) at a torus point: the plane coordinates of Phi(p)."""
+    return (orbit_sum(data.orbits[0], point), orbit_sum(data.orbits[1], point))
 
 
 def scale_point(point, n: int):
     return (n * point[0], n * point[1])
 
 
-def _residual(data: RootSystemData, ordering, fmap, n: int, point) -> float:
+def _residual(data: RootSystemData, fmap, n: int, point) -> float:
     """Larger coordinate error of Phi(n p) = F_n(Phi(p)) at the torus point p."""
-    scaled = phi(data, scale_point(point, n), ordering)
-    mapped = fmap.evaluate_complex(phi(data, point, ordering))
+    scaled = phi(data, scale_point(point, n))
+    mapped = fmap.evaluate_complex(phi(data, point))
     return max(abs(scaled[0] - mapped[0]), abs(scaled[1] - mapped[1]))
-
-
-class CalibrationError(RuntimeError):
-    pass
-
-
-@dataclass
-class Calibration:
-    ordering: tuple
-    max_residual: float
-
-
-@functools.cache
-def calibrate(tag: str) -> Calibration:
-    """Fix which orbit sum feeds which plane coordinate.
-
-    Tests Phi(2p) = F_2(Phi(p)) for both orderings on 24 random sample
-    points; exactly one ordering can match, and a match validates the root
-    data end to end.  The result is cached per family.
-    """
-    tag = normalize_tag(tag)
-    data = get_system(tag)
-    f2 = fold(tag, 2)
-    rng = random.Random(0xC0FFEE)
-    sample = [(rng.random(), rng.random()) for _ in range(24)]
-    for ordering in ((0, 1), (1, 0)):
-        worst = max(_residual(data, ordering, f2, 2, p) for p in sample)
-        if worst < 1e-9:
-            return Calibration(ordering, worst)
-    raise CalibrationError(f"neither orbit ordering matches F_2 for {tag}")
 
 
 @dataclass
@@ -232,14 +208,13 @@ def check_scaling(tag: str, n: int, trials: int = 100, tol: float = 1e-7,
     check_scaling_args(trials, tol)
     tag = normalize_tag(tag)
     check_oracle_n(tag, n)
-    cal = calibrate(tag)
     data = get_system(tag)
     fmap = fold(tag, n)
     rng = random.Random(seed)
     report = ScalingReport(tag, n, trials, tol, seed)
     for _ in range(trials):
         p = (rng.random(), rng.random())
-        report.max_residual = max(report.max_residual, _residual(data, cal.ordering, fmap, n, p))
+        report.max_residual = max(report.max_residual, _residual(data, fmap, n, p))
     return report
 
 

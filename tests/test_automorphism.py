@@ -22,12 +22,13 @@ from foldmap.automorphism import (
     is_member,
     solve_aut,
 )
-from foldmap.cyclo import CycloElem, SQRT3
+from foldmap.cyclo import CycloElem
 from foldmap.folding import fold
 from foldmap.poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, zw_to_xy
 from foldmap.rationals import rat
 
 ZETA3 = CycloElem.zeta_pow(4)
+SQRT3 = CycloElem(0, 2, 0, -1)  # z + z^11
 
 
 def test_is_member_examples():

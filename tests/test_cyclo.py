@@ -7,10 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from foldmap.cyclo import (
     CycloElem,
-    I_UNIT,
-    SQRT3,
-    ZETA,
-    ZETA3,
     coef_components,
     coef_conj,
     coef_div,
@@ -19,6 +15,11 @@ from foldmap.cyclo import (
     unity_order,
 )
 from foldmap.rationals import as_exact
+
+ZETA = CycloElem.zeta_pow(1)
+I_UNIT = CycloElem.zeta_pow(3)
+ZETA3 = CycloElem.zeta_pow(4)
+SQRT3 = CycloElem(0, 2, 0, -1)  # z + z^11
 
 
 def brute_zeta_power(k):

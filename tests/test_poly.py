@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from foldmap import poly as poly_module
 from foldmap.backend import add_terms, mul_terms, scale_terms
-from foldmap.cyclo import CycloElem, I_UNIT, coef_components
+from foldmap.cyclo import CycloElem, coef_components, coef_conj
 from foldmap.folding import fold
 from foldmap.poly import (
     Poly,
@@ -21,6 +21,7 @@ from foldmap.poly import (
 )
 from foldmap.rationals import rat_str
 
+I_UNIT = CycloElem.zeta_pow(3)
 X = Poly.variable(XY_VARS, "x")
 Y = Poly.variable(XY_VARS, "y")
 Z = Poly.variable(ZW_VARS, "z")
@@ -208,6 +209,31 @@ json_coeffs = st.one_of(
 def test_json_integer_fast_path_matches_components(terms):
     p = Poly(XY_VARS, terms)
     assert json.dumps(p.to_json_obj()) == generic_json_text(p)
+
+
+def zw_to_xy_reference(m):
+    """zw_to_xy through the complex images z = x + iy, w = x - iy."""
+    q = m.first.substitute({"z": X + I_UNIT * Y, "w": X - I_UNIT * Y})
+    q_bar = Poly(XY_VARS, {e: coef_conj(c) for e, c in q.terms.items()})
+    minus_half_i = I_UNIT * Fraction(-1, 2)
+    return PolyMap2((q + q_bar) * Fraction(1, 2), (q - q_bar) * minus_half_i, "XY", m.label)
+
+
+zw_coeffs = st.one_of(
+    json_coeffs,
+    st.builds(CycloElem, *[st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))] * 4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)), zw_coeffs, max_size=8))
+@example({})  # the zero map
+def test_zw_to_xy_matches_complex_images(terms):
+    first = Poly(ZW_VARS, terms)
+    m = PolyMap2(first, swap_conjugate(first), "ZW", "random")
+    got, want = zw_to_xy(m), zw_to_xy_reference(m)
+    assert got == want
+    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
 
 
 coeffs = st.integers(min_value=-9, max_value=9)

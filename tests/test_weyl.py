@@ -1,14 +1,14 @@
 """Root-system data, the exponential-invariant oracle, and the Chebyshev check."""
 
+import json
 import random
 
 import pytest
 
-from foldmap import weyl
+from foldmap import cli, weyl
 from foldmap.folding import fold
 from foldmap.poly import Poly, PolyMap2
 from foldmap.weyl import (
-    calibrate,
     chebyshev,
     check_scaling,
     get_system,
@@ -58,35 +58,41 @@ def test_weyl_group_order_and_closure(tag):
 def test_orbit_sizes_match_constant_maps(tag):
     data = get_system(tag)
     assert tuple(len(orbit) for orbit in data.orbits) == SIZES[tag]
-    value = phi(data, (0.0, 0.0), (0, 1))
+    value = phi(data, (0.0, 0.0))
     assert abs(value[0] - SIZES[tag][0]) < 1e-12
     assert abs(value[1] - SIZES[tag][1]) < 1e-12
 
 
+def _worst_f2_residual(data, f2, points):
+    return max(weyl._residual(data, f2, 2, p) for p in points)
+
+
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
 def test_calibration(tag):
-    cal = calibrate(tag)
-    assert cal.max_residual < 1e-9
-    assert sorted(cal.ordering) == [0, 1]
+    """FIRST_WEIGHT puts the orbit sums in the order the exact maps use:
+    Phi(2p) = F_2(Phi(p)) at 24 seeded points."""
+    data = get_system(tag)
+    assert data.orbits[0] == weyl._orbit(data.weyl, weyl.FIRST_WEIGHT[tag])
+    rng = random.Random(0xC0FFEE)
+    sample = [(rng.random(), rng.random()) for _ in range(24)]
+    assert _worst_f2_residual(data, fold(tag, 2), sample) < 1e-9
 
 
 def test_a2_phi_pair_is_conjugate():
     data = get_system("a2")
-    cal = calibrate("a2")
-    v = phi(data, (0.371, 0.642), cal.ordering)
+    v = phi(data, (0.371, 0.642))
     assert abs(v[1] - v[0].conjugate()) < 1e-12
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
 def test_w_invariance(tag):
     data = get_system(tag)
-    cal = calibrate(tag)
     rng = random.Random(11)
     for _ in range(20):
         p = (rng.random(), rng.random())
         sigma = rng.choice(data.weyl)
-        lhs = phi(data, dual_action(sigma, p), cal.ordering)
-        rhs = phi(data, p, cal.ordering)
+        lhs = phi(data, dual_action(sigma, p))
+        rhs = phi(data, p)
         assert abs(lhs[0] - rhs[0]) < 1e-9
         assert abs(lhs[1] - rhs[1]) < 1e-9
 
@@ -153,8 +159,20 @@ def test_b_functional_reports_a_wrong_map(monkeypatch):
     assert report.witness == (2, (0, 0), 3)
 
 
-def test_calibration_is_cached():
-    assert calibrate("g2") is calibrate("g2")
+def test_a_wrong_f2_fails_only_the_n2_oracle(monkeypatch, capsys):
+    """The oracle reads only the map it checks: a wrong b2 F_2 fails the
+    n = 2 case and leaves the n = 3 case passing."""
+    def perturbed(tag, n):
+        m = fold(tag, n)
+        if (tag, n) != ("b2", 2):
+            return m
+        return PolyMap2(m.first + 1, m.second, m.model, m.label)
+
+    monkeypatch.setattr(weyl, "fold", perturbed)
+    assert cli.main(["oracle", "--family", "b2", "--n", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+    assert cli.main(["oracle", "--family", "b2", "--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def _orbit_exponentials(data, orbit_index, point):
@@ -221,31 +239,27 @@ def test_recursions_are_orbit_characteristic_polynomials():
     rng = random.Random(17)
     for tag, per_coord in multipliers.items():
         data = get_system(tag)
-        ordering = calibrate(tag).ordering
         for _ in range(6):
             p = (rng.random(), rng.random())
-            plane = phi(data, p, ordering)
+            plane = phi(data, p)
             values = {"x": plane[0], "y": plane[1]}
             for coord, checks in per_coord.items():
-                betas = _orbit_exponentials(data, ordering[coord], p)
+                betas = _orbit_exponentials(data, coord, p)
                 for k, poly in checks:
                     want = _elementary_symmetric(betas, k)
                     got = poly.evaluate_complex(values)
                     assert abs(got - want) < 1e-9, (tag, coord, k, got, want)
-            _check_family_table(
-                tag, values, lambda c: _orbit_exponentials(data, ordering[c], p)
-            )
+            _check_family_table(tag, values, lambda c: _orbit_exponentials(data, c, p))
 
 
 def test_a2_recursion_symmetric_functions():
     """For the A family: e_1 = z, e_2 = w (the conjugate orbit sum), e_3 = 1."""
     data = get_system("a2")
-    ordering = calibrate("a2").ordering
     rng = random.Random(23)
     for _ in range(6):
         p = (rng.random(), rng.random())
-        z_val, w_val = phi(data, p, ordering)
-        betas = _orbit_exponentials(data, ordering[0], p)
+        z_val, w_val = phi(data, p)
+        betas = _orbit_exponentials(data, 0, p)
         assert abs(_elementary_symmetric(betas, 1) - z_val) < 1e-9
         assert abs(_elementary_symmetric(betas, 2) - w_val) < 1e-9
         assert abs(_elementary_symmetric(betas, 3) - 1) < 1e-9
@@ -254,20 +268,10 @@ def test_a2_recursion_symmetric_functions():
 
 @pytest.mark.parametrize("tag", ["b2", "g2"])
 def test_wrong_ordering_fails_loudly(tag):
-    """The rejected orbit ordering misses F_2 by a wide margin, so the
-    calibration choice is genuinely discriminating."""
-    from foldmap.folding import fold
-
+    """The swapped orbit order misses F_2 by a wide margin, so the
+    FIRST_WEIGHT entry is the only order the oracle can pass with."""
     data = get_system(tag)
-    good = calibrate(tag).ordering
-    bad = (good[1], good[0])
-    f2 = fold(tag, 2)
-    worst = 0.0
+    swapped = weyl.RootSystemData(data.weyl, data.orbits[::-1])
     rng = random.Random(5)
-    for _ in range(10):
-        p = (rng.random(), rng.random())
-        image = phi(data, p, bad)
-        doubled = phi(data, scale_point(p, 2), bad)
-        mapped = f2.evaluate_complex(image)
-        worst = max(worst, abs(doubled[0] - mapped[0]), abs(doubled[1] - mapped[1]))
-    assert worst > 1e-3
+    points = [(rng.random(), rng.random()) for _ in range(10)]
+    assert _worst_f2_residual(swapped, fold(tag, 2), points) > 1e-3
