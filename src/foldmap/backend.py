@@ -115,9 +115,9 @@ def unpack(terms, w, nvars):
     Returns the same keys, values and insertion order as building a fresh
     tuple per term, but each tuple comes from a memo kept per (w, nvars):
     unpacking one packed monomial at one width always returns the same
-    tuple object, so every Poly that family generation and
-    `Poly.substitute` build shares one tuple per monomial instead of
-    holding a private one per term.  The memo is never pruned; it holds one
+    tuple object, so the power sums that family generation stores and the
+    Polys that `Poly.substitute` builds share one tuple per monomial instead
+    of holding a private one per term.  The memo is never pruned; it holds one
     entry per distinct monomial unpacked in the process (28,102 after the
     perfbench `aut`, `battery` and `generate` workloads ran in one process),
     far fewer than the stored terms (933,168 in the family cache after

@@ -12,7 +12,9 @@ with P_0 replaced by n in the k = n term.  For n >= K this is the published
 recursion; below K it gives the published base rows.  Results are memoized
 per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
 The recursion runs on packed monomials (see backend.py) over a window of the
-last K power sums, and each new P_n is unpacked once into its stored Poly.
+last K power sums.  Each new P_n is unpacked once and stored at rest as two
+tuples, its monomials and its coefficients; fold builds a fresh Poly from
+them for every map it returns.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -73,6 +75,10 @@ class FoldingFamily:
     model: str
     symmetric: tuple    # per stored coordinate: (e_1, ..., e_K), e_K = 1
 
+    @property
+    def vars(self) -> tuple:
+        return self.symmetric[0][0].vars
+
 
 # e_k is e_{K-k}: a mirror pair is one object, so _power_sum takes one product
 FAMILIES = {
@@ -115,13 +121,15 @@ class _Cache:
     window's width w.  With g = max deg e_k, deg P_m <= m * g by induction
     (deg e_k P_{n-k} <= g + (n - k) * g), so no exponent of P_n or of the
     products behind it exceeds n * g.  When the next n needs wider fields,
-    the window is repacked from the stored Polys.  Each new P_n is unpacked
-    once into its stored Poly.
+    the window is repacked from the stored power sums.  Each P_n is stored
+    as one pair (monomials, coefficients) of tuples, in the insertion order
+    unpack returned, which takes 16 bytes a term where a dict's table takes
+    about 39; _poly turns a pair back into a Poly.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.stored = {tag: [[Poly.constant(es[0].vars, len(es))] for es in fam.symmetric]
+        self.stored = {tag: [[(((0,) * len(fam.vars),), (len(es),))] for es in fam.symmetric]
                        for tag, fam in FAMILIES.items()}
         self.grow = {tag: max(e.degree() for es in fam.symmetric for e in es[:-1])
                      for tag, fam in FAMILIES.items()}
@@ -134,10 +142,11 @@ class _Cache:
         for es, ps in zip(FAMILIES[tag].symmetric, self.stored[tag]):
             by_id = {id(e): pack(e.terms, w) for e in es[:-1]}   # a mirror pair stays one
             packed_es = tuple(by_id[id(e)] for e in es[:-1]) + (1,)
-            self.packed[tag].append((packed_es, [pack(p.terms, w) for p in ps[-len(es):]]))
+            self.packed[tag].append((packed_es, [pack(dict(zip(*p)), w) for p in ps[-len(es):]]))
 
     def extend(self, tag: str, n: int):
         stored = self.stored[tag]
+        nvars = len(FAMILIES[tag].vars)
         with self.lock:
             while len(stored[-1]) <= n:
                 m = len(stored[-1])
@@ -149,15 +158,24 @@ class _Cache:
                     window.append(p)
                     if len(window) > len(es):
                         del window[0]
-                    nvars = len(ps[0].vars)
-                    ps.append(Poly(ps[0].vars, unpack(p, self.width[tag], nvars), _internal=True))
+                    terms = unpack(p, self.width[tag], nvars)
+                    ps.append((tuple(terms), tuple(terms.values())))
 
 
 _CACHE = _Cache()
 
 
+def _poly(vars: tuple, pair: tuple) -> Poly:
+    """A fresh Poly on the stored pair (monomials, coefficients)."""
+    return Poly(vars, dict(zip(*pair)), _internal=True)
+
+
 def fold(tag: str, n: int) -> PolyMap2:
-    """The n-th folding map of the family, in the family's native model."""
+    """The n-th folding map of the family, in the family's native model.
+
+    Every call returns fresh Polys built from the cache's stored tuples, so
+    a caller that changes a returned Poly's terms leaves the cache as it was.
+    """
     tag = normalize_tag(tag)
     if type(n) is not int:
         raise TypeError(f"fold needs an int n, not {n!r}")
@@ -166,9 +184,10 @@ def fold(tag: str, n: int) -> PolyMap2:
     stored = _CACHE.stored[tag]
     if len(stored[-1]) <= n:
         _CACHE.extend(tag, n)
-    first = stored[0][n]
-    second = stored[1][n] if len(stored) == 2 else swap_conjugate(first)
-    return PolyMap2(first, second, FAMILIES[tag].model, f"{tag.upper()}:{n}")
+    fam = FAMILIES[tag]
+    first = _poly(fam.vars, stored[0][n])
+    second = _poly(fam.vars, stored[1][n]) if len(stored) == 2 else swap_conjugate(first)
+    return PolyMap2(first, second, fam.model, f"{tag.upper()}:{n}")
 
 
 def fold_xy(tag: str, n: int) -> PolyMap2:

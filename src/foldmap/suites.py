@@ -9,7 +9,6 @@ by key and no wall-clock data enters the payload.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
 
 from . import automorphism, leading, projective, weyl
@@ -347,6 +346,10 @@ def run_suite(name: str, config: dict | None = None,
     # more workers than there are cores or cases
     workers = min(cfg["jobs"], os.cpu_count() or 1, len(descriptors))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which every
+        # command would otherwise pay for in start-up time and memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             report.cases = list(pool.map(run_case, descriptors, chunksize=4))
     else:

@@ -350,13 +350,32 @@ def test_run_suite_caps_pool_workers(monkeypatch, cpus):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    import concurrent.futures
+
+    # run_suite imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
     cases = len(suites._descriptors("proj", suites.DEFAULTS))
     report = suites.run_suite("proj", {"jobs": 100000})
     assert created == {4: [4], 64: [cases], 1: [], None: []}[cpus]
     assert report.config["jobs"] == 100000
     assert report.exit_code == 0 and len(report.cases) == cases
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    """Only --jobs > 1 needs the process pool, so importing the CLI does
+    not load multiprocessing."""
+    import subprocess
+    import sys
+
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, foldmap.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_module_entry_point():

@@ -206,8 +206,9 @@ def test_fold_window_widening_keeps_every_power_sum(tag, monkeypatch):
     fold(tag, 40)  # the module cache, whose 8-bit fields hold every n <= 40
     for ps_narrow, ps in zip(narrow.stored[tag], folding._CACHE.stored[tag]):
         assert len(ps_narrow) == 41
-        for n, p in enumerate(ps_narrow):
-            assert list(p.terms.items()) == list(ps[n].terms.items()), (tag, n)
+        # each stored pair is (monomials, coefficients) in insertion order
+        for n, pair in enumerate(ps_narrow):
+            assert pair == ps[n], (tag, n)
 
 
 def test_stored_polys_share_one_tuple_per_monomial():
@@ -218,7 +219,7 @@ def test_stored_polys_share_one_tuple_per_monomial():
         cache.extend(tag, n)
         assert cache.width[tag] == folding._WINDOW_BITS
         # P_0 is the constant K, stored before the recurrence runs
-        exps = [e for ps in cache.stored[tag] for p in ps[1:] for e in p.terms]
+        exps = [e for ps in cache.stored[tag] for monomials, _ in ps[1:] for e in monomials]
         assert len(set(map(id, exps))) == len(set(exps)), tag
 
 
@@ -263,10 +264,25 @@ def test_a2_equivariance():
         assert twisted == zeta3**n * p, n
 
 
-def test_memoization_returns_same_polynomials():
+def test_memoization_runs_no_second_recurrence():
     a = fold("g2", 7)
-    b = fold("g2", 7)
-    assert a.first is b.first and a.second is b.second
+    with mock.patch.object(folding, "_power_sum", wraps=folding._power_sum) as spy:
+        b = fold("g2", 7)
+    assert spy.call_count == 0
+    assert a == b
+    for p, q in zip(a.components(), b.components()):
+        assert list(p.terms.items()) == list(q.terms.items())
+
+
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_mutating_a_folded_map_leaves_the_cache_unchanged(tag):
+    want = fold(tag, 9)
+    want_items = [list(p.terms.items()) for p in want.components()]
+    got = fold(tag, 9)
+    got.first.terms.clear()
+    got.second.terms[(0, 0)] = 12345
+    again = fold(tag, 9)
+    assert [list(p.terms.items()) for p in again.components()] == want_items
 
 
 def test_concurrent_generation():
