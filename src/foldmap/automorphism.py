@@ -56,7 +56,7 @@ from .cyclo import (
 )
 from .folding import compose, fold, normalize_tag
 from .poly import XY, ZW, Poly, PolyMap2
-from .rationals import rat, rat_str
+from .rationals import rat_str
 
 UNKNOWNS = ("a", "b", "c", "d", "e", "f")
 
@@ -111,7 +111,7 @@ class AffineMap2:
         )
 
     def sort_key(self):
-        return tuple(tuple(rat(x) for x in coef_components(c)) for c in self.coeffs)
+        return tuple(coef_components(c) for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, AffineMap2):

@@ -75,7 +75,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     tag = None if args.family == "all" else normalize_tag(args.family)
-    config = {"seed": args.seed, "jobs": args.jobs}
+    config = {"jobs": args.jobs}
     if args.max_n is not None:
         smallest = suites.SMALLEST_MAX_N[args.what]
         if args.max_n < smallest:
@@ -174,7 +174,6 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=suites.DEFAULTS["seed"])
         p.add_argument("--jobs", type=int, default=1)
 
     g = sub.add_parser("gen", help="emit one folding map")
@@ -214,6 +213,7 @@ def build_parser() -> _Parser:
 
     r = sub.add_parser("report", help="run verification suites")
     r.add_argument("--suite", choices=suites.SUITE_NAMES + ("all",), default="all")
+    r.add_argument("--seed", type=int, default=suites.DEFAULTS["seed"])
     add_common(r)
     r.set_defaults(func=cmd_report)
 

@@ -19,9 +19,8 @@ from .cyclo import coef_div
 from .folding import compose, fold_xy, normalize_tag
 from .poly import XY, Poly, PolyMap2
 
-DESK_BOUND = 128
-
-# Largest map index n the command line accepts (gen, proj, aut, oracle).
+# Largest map index n the command line accepts (gen, proj, aut, oracle), and
+# so the bound degree_growth puts on n^m.
 # Generation cost grows steeply with n: on a 2-core host, from a cold cache,
 # fold(tag, 200) takes 0.6 s for a2, 3.8 s for b2 and 19 s for g2, and
 # fold("a2", 700) takes about 25 s.  The benchmark's `generate` workload builds
@@ -118,7 +117,8 @@ def degree_growth(tag: str, n: int, m: int) -> int:
     tag = normalize_tag(tag)
     if m < 1:
         raise ValueError("degree_growth needs m >= 1")
-    if n**m > DESK_BOUND:
-        raise ValueError(f"n^m = {n ** m} exceeds the desk bound {DESK_BOUND}")
+    # the m-fold composite of F_n is F_{n^m}
+    if n**m > N_DESK_BOUND:
+        raise ValueError(f"n^m = {n ** m} exceeds the desk bound {N_DESK_BOUND}")
     composite = iterate_map(fold_xy(tag, n), m)
     return composite.degree()

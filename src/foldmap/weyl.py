@@ -3,8 +3,9 @@
 The folding map of index n is characterized by Phi(n p) = F_n(Phi(p)),
 where Phi = (phi_1, phi_2) sums unit exponentials over the two fundamental
 weight orbits of the family's Weyl group.  Everything is set up in weight
-coordinates: weights are integer vectors, the Weyl group acts by integer
-2x2 matrices, the dual torus lattice is Z^2, so a torus point is just a
+coordinates: weights are integer vectors, and an orbit is the closure of
+its fundamental weight under the two simple reflections, which generate
+the Weyl group.  The dual torus lattice is Z^2, so a torus point is just a
 pair of real numbers and phi_k is a finite sum of exp(2*pi*i <weight,
 point>) terms.
 
@@ -42,8 +43,6 @@ CARTAN = {
     "g2": ((2, -1), (-3, 2)),
 }
 
-WEYL_ORDER = {"a2": 6, "b2": 8, "g2": 12}
-
 # The fundamental weight whose orbit sum is the first plane coordinate; the
 # other fundamental weight's orbit sum is the second.
 FIRST_WEIGHT = {"a2": (1, 0), "b2": (0, 1), "g2": (0, 1)}
@@ -51,71 +50,28 @@ FIRST_WEIGHT = {"a2": (1, 0), "b2": (0, 1), "g2": (0, 1)}
 TWO_PI = 2.0 * math.pi
 
 
-def _mat_mul(m, n):
-    return (
-        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
-        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
-    )
-
-
-def _mat_vec(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-@dataclass(frozen=True)
-class RootSystemData:
-    weyl: tuple                         # all group elements, weight basis
-    orbits: tuple                       # orbits in plane-coordinate order
-
-
-def _simple_reflections(cartan):
-    """s_j in the fundamental-weight basis: s_j(w_i) = w_i - delta_ij alpha_j,
-    with alpha_j = sum_i cartan[i][j] w_i."""
-    out = []
-    for j in range(2):
-        cols = []
-        for c in range(2):
-            col = [1 if r == c else 0 for r in range(2)]
-            if c == j:
-                col = [col[r] - cartan[r][j] for r in range(2)]
-            cols.append(col)
-        out.append(((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
-    return out
-
-
-def _closure(generators):
-    identity = ((1, 0), (0, 1))
-    seen = {identity}
-    frontier = [identity]
+def _orbit(cartan, weight):
+    """The Weyl orbit of weight, sorted: its closure under the simple
+    reflections s_j(lam) = lam - lam_j alpha_j, where alpha_j, column j of
+    the Cartan matrix, is the simple root in the fundamental-weight basis."""
+    seen = {weight}
+    frontier = [weight]
     while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                prod = _mat_mul(g, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
+        lam = frontier.pop()
+        for j in range(2):
+            image = (lam[0] - lam[j] * cartan[0][j], lam[1] - lam[j] * cartan[1][j])
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
     return tuple(sorted(seen))
 
 
-def _orbit(weyl, start):
-    return tuple(sorted({_mat_vec(m, start) for m in weyl}))
-
-
 @functools.cache
-def get_system(tag: str) -> RootSystemData:
+def get_system(tag: str) -> tuple:
+    """The family's two fundamental-weight orbits, in plane-coordinate order."""
     tag = normalize_tag(tag)
-    cartan = CARTAN[tag]
-    weyl = _closure(_simple_reflections(cartan))
-    if len(weyl) != WEYL_ORDER[tag]:
-        raise ValueError(
-            f"Weyl closure for {tag} has order {len(weyl)}, "
-            f"expected {WEYL_ORDER[tag]}"
-        )
     first = FIRST_WEIGHT[tag]
-    orbits = (_orbit(weyl, first), _orbit(weyl, (first[1], first[0])))
-    return RootSystemData(weyl, orbits)
+    return (_orbit(CARTAN[tag], first), _orbit(CARTAN[tag], first[::-1]))
 
 
 # -- the exponential-invariant map ------------------------------------------
@@ -128,19 +84,19 @@ def orbit_sum(orbit, point) -> complex:
     )
 
 
-def phi(data: RootSystemData, point):
+def phi(orbits, point):
     """(phi_1, phi_2) at a torus point: the plane coordinates of Phi(p)."""
-    return (orbit_sum(data.orbits[0], point), orbit_sum(data.orbits[1], point))
+    return (orbit_sum(orbits[0], point), orbit_sum(orbits[1], point))
 
 
 def scale_point(point, n: int):
     return (n * point[0], n * point[1])
 
 
-def _residual(data: RootSystemData, fmap, n: int, point) -> float:
+def _residual(orbits, fmap, n: int, point) -> float:
     """Larger coordinate error of Phi(n p) = F_n(Phi(p)) at the torus point p."""
-    scaled = phi(data, scale_point(point, n))
-    mapped = fmap.evaluate_complex(phi(data, point))
+    scaled = phi(orbits, scale_point(point, n))
+    mapped = fmap.evaluate_complex(phi(orbits, point))
     return max(abs(scaled[0] - mapped[0]), abs(scaled[1] - mapped[1]))
 
 
@@ -176,8 +132,7 @@ def check_oracle_n(tag: str, n: int) -> None:
 
 
 # Most trials one oracle run takes: a trial costs about 48 us on each family's
-# ORACLE_MAX_N map, so 10^6 trials take about 48 s, as long as the slowest
-# map the desk bound admits (g2 at n = 200) takes to build.
+# ORACLE_MAX_N map, so 10^6 trials take about 48 s.
 ORACLE_MAX_TRIALS = 10**6
 
 
@@ -208,13 +163,13 @@ def check_scaling(tag: str, n: int, trials: int = 100, tol: float = 1e-7,
     check_scaling_args(trials, tol)
     tag = normalize_tag(tag)
     check_oracle_n(tag, n)
-    data = get_system(tag)
+    orbits = get_system(tag)
     fmap = fold(tag, n)
     rng = random.Random(seed)
     report = ScalingReport(tag, n, trials, tol, seed)
     for _ in range(trials):
         p = (rng.random(), rng.random())
-        report.max_residual = max(report.max_residual, _residual(data, fmap, n, p))
+        report.max_residual = max(report.max_residual, _residual(orbits, fmap, n, p))
     return report
 
 

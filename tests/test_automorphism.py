@@ -75,6 +75,18 @@ def test_claimed_group_closure_and_membership():
                 assert sorted(row) == list(range(group.order))
 
 
+def test_group_structure_labels_other_orders_and_rejects_non_groups():
+    signs = [AffineMap2((a, 0, 0, 0, e, 0), XY) for a in (1, -1) for e in (1, -1)]
+    table, label = automorphism._group_structure(signs)
+    assert label == "order4"  # the Klein four-group, abelian and not cyclic
+    assert all(table[i][i] == 0 for i in range(4))
+    # diag(i, 1) squares to diag(-1, 1), which is not in the set
+    i = CycloElem.zeta_pow(3)
+    not_closed = [AffineMap2.identity(XY), AffineMap2((i, 0, 0, 0, 1, 0), XY)]
+    with pytest.raises(ValueError, match="not closed under composition"):
+        automorphism._group_structure(not_closed)
+
+
 def element_order(m):
     power = m
     for k in range(1, 13):

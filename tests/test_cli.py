@@ -200,6 +200,13 @@ def test_verify_max_n_bounds_follow_desk_bound():
     assert top >= 8  # the benchmark runs verify commute --max-n 8
 
 
+def test_verify_takes_no_seed(capsys):
+    # the seed reaches only the oracle suite, which verify never runs
+    code, out, err = run(capsys, "verify", "commute", "--seed", "1")
+    assert code == 64 and out == ""
+    assert "unrecognized arguments: --seed 1" in err
+
+
 def test_verify_rejects_empty_family_selection(capsys):
     code, out, err = run(capsys, "verify", "leading", "--family", "a2", "--max-n", "1")
     assert code == 64 and out == "" and "no a2 case" in err

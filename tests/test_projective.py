@@ -4,7 +4,13 @@ import pytest
 
 from foldmap.folding import compose, fold, fold_xy, half_fold
 from foldmap.poly import XY, XY_VARS, Poly, PolyMap2
-from foldmap.projective import degree_growth, indeterminacy, is_morphism, iterate_map
+from foldmap.projective import (
+    N_DESK_BOUND,
+    degree_growth,
+    indeterminacy,
+    is_morphism,
+    iterate_map,
+)
 
 
 def test_homogenize_rejects_constant_and_zw():
@@ -72,6 +78,9 @@ def test_degree_growth():
     assert degree_growth("a2", 2, 3) == 8
     with pytest.raises(ValueError):
         degree_growth("g2", 2, 12)
+    # the m-fold composite of F_n is F_{n^m}: the bound is the desk bound on n
+    with pytest.raises(ValueError, match=f"n\\^m = 201 exceeds the desk bound {N_DESK_BOUND}"):
+        degree_growth("g2", 201, 1)
 
 
 def test_degree_growth_drop_vs_naive():

@@ -67,3 +67,17 @@ def test_report_exit_codes_and_case_fields():
     assert "note" not in wrong.to_json_obj()
     bare = CaseRecord("s", "bare", {}, FAIL)
     assert "witness" not in bare.to_json_obj()
+
+
+def test_report_text_shows_witnesses_of_cases_that_did_not_pass():
+    ok = CaseRecord("s", "ok", {}, PASS, "hidden")
+    wrong = CaseRecord("s", "wrong", {}, FAIL, (1, (7, 0), Fraction(5, 2)))
+    stalled = CaseRecord("s", "stalled", {}, UNRESOLVED, [{"reason": "r"}], note="why")
+    bare = CaseRecord("s", "bare", {}, FAIL)
+    assert VerificationReport("s", {}, [ok, wrong, stalled, bare]).to_text() == (
+        "ok    ok\n"
+        "FAIL  wrong  witness=(1, (7, 0), Fraction(5, 2))\n"
+        "???   stalled  witness=[{'reason': 'r'}]  [why]\n"
+        "FAIL  bare\n"
+        "s: 1 pass, 2 fail, 1 unresolved"
+    )

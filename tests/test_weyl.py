@@ -18,7 +18,40 @@ from foldmap.weyl import (
 )
 
 SIZES = {"a2": (3, 3), "b2": (4, 4), "g2": (6, 6)}
-ORDERS = {"a2": 6, "b2": 8, "g2": 12}
+
+# The orbits get_system returns, in its order: the float oracle adds each
+# orbit sum in this order, so its residual bits depend on it.
+ORBITS = {
+    "a2": (
+        ((-1, 1), (0, -1), (1, 0)),
+        ((-1, 0), (0, 1), (1, -1)),
+    ),
+    "b2": (
+        ((-1, 1), (0, -1), (0, 1), (1, -1)),
+        ((-1, 0), (-1, 2), (1, -2), (1, 0)),
+    ),
+    "g2": (
+        ((-1, 1), (-1, 2), (0, -1), (0, 1), (1, -2), (1, -1)),
+        ((-2, 3), (-1, 0), (-1, 3), (1, -3), (1, 0), (2, -3)),
+    ),
+}
+
+
+def simple_reflections(tag):
+    """s_1 and s_2 as integer matrices on weight coordinates:
+    s_j(lam) = lam - lam_j alpha_j, with alpha_j column j of the Cartan matrix."""
+    cartan = weyl.CARTAN[tag]
+    return [
+        tuple(
+            tuple((r == c) - (c == j) * cartan[r][j] for c in range(2))
+            for r in range(2)
+        )
+        for j in range(2)
+    ]
+
+
+def apply(matrix, weight):
+    return tuple(row[0] * weight[0] + row[1] * weight[1] for row in matrix)
 
 
 def dual_action(matrix, point):
@@ -35,66 +68,64 @@ def dual_action(matrix, point):
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
-def test_weyl_group_order_and_closure(tag):
-    data = get_system(tag)
-    assert len(data.weyl) == ORDERS[tag]
-    group = set(data.weyl)
-    for m in data.weyl:
-        for n in data.weyl:
-            prod = (
-                (
-                    m[0][0] * n[0][0] + m[0][1] * n[1][0],
-                    m[0][0] * n[0][1] + m[0][1] * n[1][1],
-                ),
-                (
-                    m[1][0] * n[0][0] + m[1][1] * n[1][0],
-                    m[1][0] * n[0][1] + m[1][1] * n[1][1],
-                ),
-            )
-            assert prod in group
+def test_orbits_are_closed_under_simple_reflections(tag):
+    """Each orbit holds its fundamental weight, the first being FIRST_WEIGHT,
+    and is closed under both simple reflections, which generate W."""
+    first = weyl.FIRST_WEIGHT[tag]
+    reflections = simple_reflections(tag)
+    for orbit, weight, size in zip(get_system(tag), (first, first[::-1]), SIZES[tag]):
+        assert weight in orbit
+        assert len(set(orbit)) == len(orbit) == size
+        for s in reflections:
+            assert {apply(s, lam) for lam in orbit} == set(orbit)
+
+
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_orbits_are_pinned(tag):
+    assert get_system(tag) == ORBITS[tag]
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
 def test_orbit_sizes_match_constant_maps(tag):
-    data = get_system(tag)
-    assert tuple(len(orbit) for orbit in data.orbits) == SIZES[tag]
-    value = phi(data, (0.0, 0.0))
+    orbits = get_system(tag)
+    assert tuple(len(orbit) for orbit in orbits) == SIZES[tag]
+    value = phi(orbits, (0.0, 0.0))
     assert abs(value[0] - SIZES[tag][0]) < 1e-12
     assert abs(value[1] - SIZES[tag][1]) < 1e-12
 
 
-def _worst_f2_residual(data, f2, points):
-    return max(weyl._residual(data, f2, 2, p) for p in points)
+def _worst_f2_residual(orbits, f2, points):
+    return max(weyl._residual(orbits, f2, 2, p) for p in points)
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
 def test_calibration(tag):
     """FIRST_WEIGHT puts the orbit sums in the order the exact maps use:
     Phi(2p) = F_2(Phi(p)) at 24 seeded points."""
-    data = get_system(tag)
-    assert data.orbits[0] == weyl._orbit(data.weyl, weyl.FIRST_WEIGHT[tag])
+    orbits = get_system(tag)
+    assert orbits[0] == weyl._orbit(weyl.CARTAN[tag], weyl.FIRST_WEIGHT[tag])
     rng = random.Random(0xC0FFEE)
     sample = [(rng.random(), rng.random()) for _ in range(24)]
-    assert _worst_f2_residual(data, fold(tag, 2), sample) < 1e-9
+    assert _worst_f2_residual(orbits, fold(tag, 2), sample) < 1e-9
 
 
 def test_a2_phi_pair_is_conjugate():
-    data = get_system("a2")
-    v = phi(data, (0.371, 0.642))
+    v = phi(get_system("a2"), (0.371, 0.642))
     assert abs(v[1] - v[0].conjugate()) < 1e-12
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
 def test_w_invariance(tag):
-    data = get_system(tag)
+    """Phi is invariant under both simple reflections, so under all of W."""
+    orbits = get_system(tag)
     rng = random.Random(11)
     for _ in range(20):
         p = (rng.random(), rng.random())
-        sigma = rng.choice(data.weyl)
-        lhs = phi(data, dual_action(sigma, p))
-        rhs = phi(data, p)
-        assert abs(lhs[0] - rhs[0]) < 1e-9
-        assert abs(lhs[1] - rhs[1]) < 1e-9
+        rhs = phi(orbits, p)
+        for sigma in simple_reflections(tag):
+            lhs = phi(orbits, dual_action(sigma, p))
+            assert abs(lhs[0] - rhs[0]) < 1e-9
+            assert abs(lhs[1] - rhs[1]) < 1e-9
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
@@ -175,13 +206,13 @@ def test_a_wrong_f2_fails_only_the_n2_oracle(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-def _orbit_exponentials(data, orbit_index, point):
+def _orbit_exponentials(orbits, orbit_index, point):
     import cmath
     import math
 
     return [
         cmath.exp(2j * math.pi * (lam[0] * point[0] + lam[1] * point[1]))
-        for lam in data.orbits[orbit_index]
+        for lam in orbits[orbit_index]
     ]
 
 
@@ -238,28 +269,28 @@ def test_recursions_are_orbit_characteristic_polynomials():
     }
     rng = random.Random(17)
     for tag, per_coord in multipliers.items():
-        data = get_system(tag)
+        orbits = get_system(tag)
         for _ in range(6):
             p = (rng.random(), rng.random())
-            plane = phi(data, p)
+            plane = phi(orbits, p)
             values = {"x": plane[0], "y": plane[1]}
             for coord, checks in per_coord.items():
-                betas = _orbit_exponentials(data, coord, p)
+                betas = _orbit_exponentials(orbits, coord, p)
                 for k, poly in checks:
                     want = _elementary_symmetric(betas, k)
                     got = poly.evaluate_complex(values)
                     assert abs(got - want) < 1e-9, (tag, coord, k, got, want)
-            _check_family_table(tag, values, lambda c: _orbit_exponentials(data, c, p))
+            _check_family_table(tag, values, lambda c: _orbit_exponentials(orbits, c, p))
 
 
 def test_a2_recursion_symmetric_functions():
     """For the A family: e_1 = z, e_2 = w (the conjugate orbit sum), e_3 = 1."""
-    data = get_system("a2")
+    orbits = get_system("a2")
     rng = random.Random(23)
     for _ in range(6):
         p = (rng.random(), rng.random())
-        z_val, w_val = phi(data, p)
-        betas = _orbit_exponentials(data, 0, p)
+        z_val, w_val = phi(orbits, p)
+        betas = _orbit_exponentials(orbits, 0, p)
         assert abs(_elementary_symmetric(betas, 1) - z_val) < 1e-9
         assert abs(_elementary_symmetric(betas, 2) - w_val) < 1e-9
         assert abs(_elementary_symmetric(betas, 3) - 1) < 1e-9
@@ -270,8 +301,7 @@ def test_a2_recursion_symmetric_functions():
 def test_wrong_ordering_fails_loudly(tag):
     """The swapped orbit order misses F_2 by a wide margin, so the
     FIRST_WEIGHT entry is the only order the oracle can pass with."""
-    data = get_system(tag)
-    swapped = weyl.RootSystemData(data.weyl, data.orbits[::-1])
+    swapped = get_system(tag)[::-1]
     rng = random.Random(5)
     points = [(rng.random(), rng.random()) for _ in range(10)]
     assert _worst_f2_residual(swapped, fold(tag, 2), points) > 1e-3
