@@ -9,6 +9,7 @@ All JSON uses the canonical polynomial schema; exit codes are 0 all pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -168,6 +169,9 @@ def _finish_report(report, fmt: str) -> int:
     return report.exit_code
 
 
+# parse_args fills a fresh Namespace each call and leaves the parser as it
+# was, so one parser serves every main call of the process
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="foldmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

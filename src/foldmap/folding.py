@@ -12,9 +12,10 @@ with P_0 replaced by n in the k = n term.  For n >= K this is the published
 recursion; below K it gives the published base rows.  Results are memoized
 per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
 The recursion runs on packed monomials (see backend.py) over a window of the
-last K power sums.  Each new P_n is unpacked once and stored at rest as two
-tuples, its monomials and its coefficients; fold builds a fresh Poly from
-them for every map it returns.
+last K power sums.  Each new P_n is unpacked once and stored at rest as a
+pair: the tuple of its monomials and its coefficients pickled into one bytes
+object, so the cache holds no coefficient as an int object; fold builds a
+fresh Poly from the pair for every map it returns.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -22,6 +23,7 @@ coordinate is always swap_conjugate of the first.
 
 from __future__ import annotations
 
+import pickle
 import threading
 from dataclasses import dataclass
 
@@ -109,6 +111,20 @@ def _power_sum(es: tuple, window: list, n: int) -> dict:
     return acc
 
 
+# The blobs are made and read only inside this process, from coefficients the
+# recurrence computed, so none of them is untrusted input to pickle.loads.
+# Pickle writes an int the same way whatever object holds it, so equal power
+# sums store equal bytes.
+def _pickle_coefs(coefs: tuple) -> bytes:
+    return pickle.dumps(coefs, protocol=5)
+
+
+def _terms(pair: tuple) -> dict:
+    """The term dict of a stored pair (monomials, blob), in stored order."""
+    monomials, blob = pair
+    return dict(zip(monomials, pickle.loads(blob)))
+
+
 # Field width of a fresh packed window, in bits; _Cache widens it as n grows
 _WINDOW_BITS = 8
 
@@ -122,14 +138,17 @@ class _Cache:
     (deg e_k P_{n-k} <= g + (n - k) * g), so no exponent of P_n or of the
     products behind it exceeds n * g.  When the next n needs wider fields,
     the window is repacked from the stored power sums.  Each P_n is stored
-    as one pair (monomials, coefficients) of tuples, in the insertion order
-    unpack returned, which takes 16 bytes a term where a dict's table takes
-    about 39; _poly turns a pair back into a Poly.
+    as one pair (monomials, blob), in the insertion order unpack returned:
+    the tuple of monomials, each an exponent tuple unpack shares, and
+    _pickle_coefs of the coefficients.  F_n's coefficients are mostly ints
+    of several 30-bit digits, which as int objects cost about three times
+    their pickled bytes; _terms turns a pair back into a term dict.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.stored = {tag: [[(((0,) * len(fam.vars),), (len(es),))] for es in fam.symmetric]
+        self.stored = {tag: [[(((0,) * len(fam.vars),), _pickle_coefs((len(es),)))]
+                             for es in fam.symmetric]
                        for tag, fam in FAMILIES.items()}
         self.grow = {tag: max(e.degree() for es in fam.symmetric for e in es[:-1])
                      for tag, fam in FAMILIES.items()}
@@ -142,7 +161,7 @@ class _Cache:
         for es, ps in zip(FAMILIES[tag].symmetric, self.stored[tag]):
             by_id = {id(e): pack(e.terms, w) for e in es[:-1]}   # a mirror pair stays one
             packed_es = tuple(by_id[id(e)] for e in es[:-1]) + (1,)
-            self.packed[tag].append((packed_es, [pack(dict(zip(*p)), w) for p in ps[-len(es):]]))
+            self.packed[tag].append((packed_es, [pack(_terms(p), w) for p in ps[-len(es):]]))
 
     def extend(self, tag: str, n: int):
         stored = self.stored[tag]
@@ -159,21 +178,21 @@ class _Cache:
                     if len(window) > len(es):
                         del window[0]
                     terms = unpack(p, self.width[tag], nvars)
-                    ps.append((tuple(terms), tuple(terms.values())))
+                    ps.append((tuple(terms), _pickle_coefs(tuple(terms.values()))))
 
 
 _CACHE = _Cache()
 
 
 def _poly(vars: tuple, pair: tuple) -> Poly:
-    """A fresh Poly on the stored pair (monomials, coefficients)."""
-    return Poly(vars, dict(zip(*pair)), _internal=True)
+    """A fresh Poly on the stored pair (monomials, blob)."""
+    return Poly(vars, _terms(pair), _internal=True)
 
 
 def fold(tag: str, n: int) -> PolyMap2:
     """The n-th folding map of the family, in the family's native model.
 
-    Every call returns fresh Polys built from the cache's stored tuples, so
+    Every call returns fresh Polys built from the cache's stored pairs, so
     a caller that changes a returned Poly's terms leaves the cache as it was.
     """
     tag = normalize_tag(tag)

@@ -131,7 +131,11 @@ class Poly:
 
     def sorted_terms(self):
         """Terms in canonical order (graded-lex descending)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        # both sorts are stable, so lex descending within each degree survives
+        # the sort by degree: the grlex_key order, with keys built in C
+        terms = self.terms
+        order = sorted(sorted(terms, reverse=True), key=sum, reverse=True)
+        return [(e, terms[e]) for e in order]
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex leading term."""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from foldmap import suites
-from foldmap.cli import main
+from foldmap.cli import build_parser, main
 from foldmap.folding import fold, fold_xy, half_fold
 from foldmap.poly import PolyMap2
 from foldmap.projective import N_DESK_BOUND
@@ -89,6 +89,19 @@ def test_usage_error_codes(capsys):
     assert run(capsys, "nonsense")[0] == 64
     assert run(capsys, "bench")[0] == 64  # benchmarks live in perfbench/
     assert run(capsys, "report", "--suite", "proj", "--format", "latex")[0] == 64
+
+
+def test_one_parser_serves_every_main_call_without_leaking_defaults(capsys):
+    assert build_parser() is build_parser()
+    json_b3 = json.dumps(fold("b2", 3).to_json_obj()) + "\n"
+    code, out, _ = run(capsys, "gen", "--family", "b2", "--n", "3", "--format", "text")
+    assert code == 0 and out != json_b3
+    assert run(capsys, "gen", "--family", "b2", "--n", "3") == (0, json_b3, "")
+    assert run(capsys, "gen", "--family", "a2", "--n", "2", "--model", "xy")[0] == 0
+    code, out, _ = run(capsys, "gen", "--family", "a2", "--n", "2")
+    assert code == 0 and json.loads(out)["model"] == "ZW"
+    assert run(capsys, "gen", "--family", "f4", "--n", "1")[0] == 64
+    assert run(capsys, "gen", "--family", "b2", "--n", "3") == (0, json_b3, "")
 
 
 def test_verify_rejects_unknown_family_before_running(capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Folding-map generation, composition, and the commutation law."""
 
+import gc
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from foldmap import folding
 from foldmap.cyclo import CycloElem
@@ -221,6 +223,48 @@ def test_stored_polys_share_one_tuple_per_monomial():
         # P_0 is the constant K, stored before the recurrence runs
         exps = [e for ps in cache.stored[tag] for monomials, _ in ps[1:] for e in monomials]
         assert len(set(map(id, exps))) == len(set(exps)), tag
+
+
+# pickle writes an int in 1, 2 or 4 bytes up to 2^31, then as LONG1 (up to
+# 255 bytes) or LONG4: +-2^(8k-1) and its neighbours are each width's edges
+_EDGE_INTS = [s * (2 ** (8 * k - 1) + d) for k in range(1, 260) for d in (-1, 0) for s in (1, -1)]
+_STORED_INTS = st.one_of(
+    st.sampled_from([1, -1, 0] + _EDGE_INTS),
+    st.integers(),
+    st.builds(lambda m, s: s * m, st.integers(2**500, 2**4000), st.sampled_from((1, -1))),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_STORED_INTS, max_size=12))
+@example([])
+@example([2**2047, -(2**2047) - 1, 2**31, -(2**31) - 1, 255, 256])
+def test_terms_round_trips_stored_coefficients(coefs):
+    monomials = tuple((i, len(coefs) - i) for i in range(len(coefs)))
+    terms = folding._terms((monomials, folding._pickle_coefs(tuple(coefs))))
+    # the stored exponent tuples themselves, in stored order
+    assert all(got is want for got, want in zip(terms, monomials, strict=True))
+    assert list(terms.values()) == coefs
+    assert all(type(c) is int for c in terms.values())
+
+
+def test_cache_holds_no_coefficient_ints():
+    cache = folding._Cache()
+    cache.extend("b2", 60)
+    stored = cache.stored["b2"]
+    assert all(type(blob) is bytes for ps in stored for _, blob in ps)
+    reachable, stack = {}, [stored]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in reachable:
+            reachable[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    ints = [o for o in reachable.values() if type(o) is int]
+    # only exponents, each <= 60 * 2 (deg P_n <= n * max deg e_k), remain:
+    # CPython keeps one shared object for each int up to 256
+    assert ints and max(ints) <= 120 and len(ints) == len(set(ints))
+    # F_60's coefficients alone have more distinct values than that
+    assert len(set(fold("b2", 60).second.terms.values())) > 121
 
 
 def test_commute_witness_on_failure():

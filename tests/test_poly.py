@@ -16,6 +16,7 @@ from foldmap.poly import (
     RealFormError,
     XY_VARS,
     ZW_VARS,
+    grlex_key,
     swap_conjugate,
     zw_to_xy,
 )
@@ -146,6 +147,17 @@ def test_canonical_order_and_render():
     assert str(p) == "x^2 - 2*x - 2*y - 6"
     assert p.to_latex() == "x^2 - 2 x - 2 y - 6"
     assert str(Poly.zero(XY_VARS)) == "0"
+
+
+# up to 40 terms of total degree <= 12 in three variables: most degrees tie
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(-9, 9).filter(bool),
+                       max_size=40))
+@example({(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 3, (1, 0, 1): 4, (0, 0, 2): 5, (0, 1, 1): 6})
+def test_sorted_terms_is_descending_grlex(terms):
+    p = Poly(("x", "y", "t"), terms)
+    want = sorted(p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    assert p.sorted_terms() == want
 
 
 def test_json_round_trip():
