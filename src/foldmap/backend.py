@@ -16,20 +16,20 @@ arrays, heaps, and packed exponent vectors", CASC 2007): `pack` turns each
 exponent tuple into one int with a field of w bits per variable, the first
 variable most significant, so multiplying two monomials is one integer add;
 `unpack` turns them back.  Every kernel works on either key kind as it is
-given and never converts one into the other.  Packing is the caller's
-decision, since the caller owns the width: w must hold every exponent of the
-product, or a field carries into the next.  `Poly.substitute` and family
-generation pack once per call or per window and keep their products packed
-throughout.  Every other product, such as the solver's, has operands of a
-few terms and stays on tuples, where packing on entry was measured slower.
-A future caller with large operands, such as the G2-from-A2 product
-z_n * w_n, packs them itself with `pack` and `unpack`.
+given and never converts one into the other.  w must hold every exponent of
+the product, or a field carries into the next; `field_bits` is the one place
+that chooses it.  `Poly.substitute` and family generation pack with it once
+per call or per family and keep their products packed throughout.  Every
+other product, such as the solver's, has operands of a few terms and stays
+on tuples, where packing on entry was measured slower.  A future caller with
+large operands, such as the G2-from-A2 product z_n * w_n, packs them itself
+with `field_bits`, `pack` and `unpack`.
 
 `unpack` shares exponent tuples: one packed monomial at one width always
 unpacks to the same tuple object, from a memo that holds one entry per
-distinct monomial the process has unpacked and is never pruned.  So the
-stored maps, whose many terms repeat few exponent vectors, hold one tuple
-per monomial rather than one per term.
+distinct monomial the process has unpacked and is never pruned.  Two
+variables pack at one width below 2^15, so the stored maps and the maps
+composed from them hold one tuple per monomial rather than one per term.
 """
 
 from fractions import Fraction
@@ -92,6 +92,14 @@ def scale_terms(a, coef):
     return out
 
 
+def field_bits(nvars, top=0):
+    """Field width for nvars exponents up to top: top's bit length, or an
+    even share of one int digit if that is wider, so two variables pack at
+    15 bits into one-digit keys until an exponent reaches 2^15."""
+    # 30 bits: CPython's int digit on 64-bit builds
+    return max(top.bit_length(), 30 // max(nvars, 1), 1)
+
+
 def _shifts(w, nvars):
     """Bit offsets of the nvars fields of width w, first variable first."""
     return range(w * (nvars - 1), -1, -w)
@@ -118,8 +126,9 @@ def unpack(terms, w, nvars):
     tuple object, so the power sums that family generation stores and the
     Polys that `Poly.substitute` builds share one tuple per monomial instead
     of holding a private one per term.  The memo is never pruned; it holds one
-    entry per distinct monomial unpacked in the process (28,102 after the
-    perfbench `aut`, `battery` and `generate` workloads ran in one process),
+    entry per distinct monomial unpacked in the process (12,949 in 4 tables
+    after the perfbench `aut`, `battery` and `generate` workloads ran in one
+    process),
     far fewer than the stored terms (933,168 in the family cache after
     fold a2 200, b2 150 and g2 90, over 11,476 exponent vectors).
     """

@@ -11,11 +11,12 @@ generate every map:
 with P_0 replaced by n in the k = n term.  For n >= K this is the published
 recursion; below K it gives the published base rows.  Results are memoized
 per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
-The recursion runs on packed monomials (see backend.py) over a window of the
-last K power sums.  Each new P_n is unpacked once and stored at rest as a
-pair: the tuple of its monomials and its coefficients pickled into one bytes
-object, so the cache holds no coefficient as an int object; fold builds a
-fresh Poly from the pair for every map it returns.
+The recursion runs on packed monomials (see backend.py), at one field width
+for every family and n, over a window of the last K power sums.  Each new
+P_n is unpacked once and stored at rest as a pair: the tuple of its
+monomials and its coefficients pickled into one bytes object, so the cache
+holds no coefficient as an int object; fold builds a fresh Poly from the
+pair for every map it returns.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -27,7 +28,7 @@ import pickle
 import threading
 from dataclasses import dataclass
 
-from .backend import add_terms, mul_terms, pack, unpack
+from .backend import add_terms, field_bits, mul_terms, pack, unpack
 from .poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 FAMILY_TAGS = ("a2", "b2", "g2")
@@ -42,6 +43,10 @@ def normalize_tag(tag: str) -> str:
     if t in FAMILY_TAGS:
         return t
     raise ValueError(f"unknown folding family {tag!r}")
+
+
+# half-fold kind -> (family, n, label) of (y, x_n), whose square is F_n
+HALF_FOLDS = {"b_sqrt2": ("b2", 2, "Bsqrt2"), "g_sqrt3": ("g2", 3, "Gsqrt3")}
 
 
 def normalize_half_kind(kind: str) -> str:
@@ -111,82 +116,79 @@ def _power_sum(es: tuple, window: list, n: int) -> dict:
     return acc
 
 
-# The blobs are made and read only inside this process, from coefficients the
-# recurrence computed, so none of them is untrusted input to pickle.loads.
-# Pickle writes an int the same way whatever object holds it, so equal power
-# sums store equal bytes.
-def _pickle_coefs(coefs: tuple) -> bytes:
-    return pickle.dumps(coefs, protocol=5)
+# Field width of every packed power sum: no exponent of P_n, or of the
+# products behind it, exceeds n * g with g = max deg e_k (see _Cache)
+_BITS = field_bits(2)
+
+# the largest n whose n * g fits _BITS; fold raises above it
+_MAX_N = {tag: ((1 << _BITS) - 1) // max(e.degree() for es in fam.symmetric for e in es[:-1])
+          for tag, fam in FAMILIES.items()}
 
 
-def _terms(pair: tuple) -> dict:
-    """The term dict of a stored pair (monomials, blob), in stored order."""
-    monomials, blob = pair
-    return dict(zip(monomials, pickle.loads(blob)))
-
-
-# Field width of a fresh packed window, in bits; _Cache widens it as n grows
-_WINDOW_BITS = 8
+def _store(packed: dict, nvars: int) -> tuple:
+    """The pair (monomials, blob) that keeps a packed power sum at rest."""
+    terms = unpack(packed, _BITS, nvars)
+    # The blobs are made and read only inside this process, from coefficients
+    # the recurrence computed, so none of them is untrusted input to
+    # pickle.loads.  Pickle writes an int the same way whatever object holds
+    # it, so equal power sums store equal bytes.
+    return tuple(terms), pickle.dumps(tuple(terms.values()), protocol=5)
 
 
 class _Cache:
     """Per family, one list P_0, P_1, ... per stored coordinate, populate-once.
 
     Newton's recurrence runs on packed monomials (see backend.py): per
-    coordinate a window of the last K power sums, with e_1..e_K packed at the
-    window's width w.  With g = max deg e_k, deg P_m <= m * g by induction
-    (deg e_k P_{n-k} <= g + (n - k) * g), so no exponent of P_n or of the
-    products behind it exceeds n * g.  When the next n needs wider fields,
-    the window is repacked from the stored power sums.  Each P_n is stored
-    as one pair (monomials, blob), in the insertion order unpack returned:
-    the tuple of monomials, each an exponent tuple unpack shares, and
-    _pickle_coefs of the coefficients.  F_n's coefficients are mostly ints
-    of several 30-bit digits, which as int objects cost about three times
-    their pickled bytes; _terms turns a pair back into a term dict.
+    coordinate a window of the last K power sums, with e_1..e_K packed once,
+    all at the one width _BITS = field_bits(2).  With g = max deg e_k,
+    deg P_m <= m * g by induction (deg e_k P_{n-k} <= g + (n - k) * g), so no
+    exponent of P_n or of the products behind it exceeds n * g, and extend
+    refuses an n with n * g >= 2^_BITS before it does any work.  Each P_n,
+    P_0 included, is stored by _store as one pair (monomials, blob), in the
+    insertion order unpack returned: the tuple of monomials, each an
+    exponent tuple unpack shares, and the coefficients pickled into one
+    bytes object.  F_n's coefficients are mostly ints of several 30-bit
+    digits, which as int objects cost about three times their pickled bytes.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.stored = {tag: [[(((0,) * len(fam.vars),), _pickle_coefs((len(es),)))]
-                             for es in fam.symmetric]
-                       for tag, fam in FAMILIES.items()}
-        self.grow = {tag: max(e.degree() for es in fam.symmetric for e in es[:-1])
-                     for tag, fam in FAMILIES.items()}
-        self.width = dict.fromkeys(FAMILIES, 0)
-        self.packed = {}                # tag -> per coordinate (packed es, window)
-
-    def _repack(self, tag: str, w: int):
-        self.width[tag] = w
-        self.packed[tag] = []
-        for es, ps in zip(FAMILIES[tag].symmetric, self.stored[tag]):
-            by_id = {id(e): pack(e.terms, w) for e in es[:-1]}   # a mirror pair stays one
-            packed_es = tuple(by_id[id(e)] for e in es[:-1]) + (1,)
-            self.packed[tag].append((packed_es, [pack(_terms(p), w) for p in ps[-len(es):]]))
+        self.stored = {tag: [] for tag in FAMILIES}
+        self.packed = {tag: [] for tag in FAMILIES}   # per coordinate (packed es, window)
+        for tag, fam in FAMILIES.items():
+            for es in fam.symmetric:
+                by_id = {id(e): pack(e.terms, _BITS) for e in es[:-1]}   # a mirror pair stays one
+                packed_es = tuple(by_id[id(e)] for e in es[:-1]) + (1,)
+                window = [{0: len(es)}]
+                self.packed[tag].append((packed_es, window))
+                self.stored[tag].append([_store(window[0], len(fam.vars))])
 
     def extend(self, tag: str, n: int):
+        if n > _MAX_N[tag]:
+            raise ValueError(
+                f"fold({tag!r}, {n}) exceeds {_MAX_N[tag]}, the largest n whose "
+                f"exponents fit the {_BITS}-bit packed fields"
+            )
         stored = self.stored[tag]
         nvars = len(FAMILIES[tag].vars)
         with self.lock:
             while len(stored[-1]) <= n:
                 m = len(stored[-1])
-                w = (m * self.grow[tag]).bit_length()
-                if w > self.width[tag]:
-                    self._repack(tag, max(w, _WINDOW_BITS))
                 for (es, window), ps in zip(self.packed[tag], stored):
                     p = _power_sum(es, window, m)
                     window.append(p)
                     if len(window) > len(es):
                         del window[0]
-                    terms = unpack(p, self.width[tag], nvars)
-                    ps.append((tuple(terms), _pickle_coefs(tuple(terms.values()))))
+                    ps.append(_store(p, nvars))
 
 
 _CACHE = _Cache()
 
 
 def _poly(vars: tuple, pair: tuple) -> Poly:
-    """A fresh Poly on the stored pair (monomials, blob)."""
-    return Poly(vars, _terms(pair), _internal=True)
+    """A fresh Poly on the stored pair (monomials, blob), in stored order."""
+    monomials, blob = pair
+    return Poly(vars, dict(zip(monomials, pickle.loads(blob))), _internal=True)
 
 
 def fold(tag: str, n: int) -> PolyMap2:
@@ -194,6 +196,8 @@ def fold(tag: str, n: int) -> PolyMap2:
 
     Every call returns fresh Polys built from the cache's stored pairs, so
     a caller that changes a returned Poly's terms leaves the cache as it was.
+    An n above the family's packed bound (a2 32,767, b2 16,383, g2 10,922)
+    raises ValueError at once.
     """
     tag = normalize_tag(tag)
     if type(n) is not int:
@@ -218,10 +222,8 @@ def fold_xy(tag: str, n: int) -> PolyMap2:
 def half_fold(kind: str) -> PolyMap2:
     """The square-root folding maps B_sqrt2 = (y, x_2) and G_sqrt3 = (y, x_3),
     whose second coordinates are the x-coordinates of B_2 and G_3."""
-    kind = normalize_half_kind(kind)
-    if kind == "b_sqrt2":
-        return PolyMap2(_Y, fold("b2", 2).first, XY, "Bsqrt2")
-    return PolyMap2(_Y, fold("g2", 3).first, XY, "Gsqrt3")
+    tag, n, label = HALF_FOLDS[normalize_half_kind(kind)]
+    return PolyMap2(_Y, fold(tag, n).first, XY, label)
 
 
 def compose(outer: PolyMap2, inner: PolyMap2) -> PolyMap2:

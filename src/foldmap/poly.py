@@ -11,9 +11,10 @@ term-merge kernels in backend.py.  Substitution comes in two shapes:
 context (one recursive Horner scheme for every number of variables), and
 `substitute_var` replaces one variable within the same context and leaves
 a polynomial that does not contain it untouched.  `substitute` packs the
-images once (see backend.py), runs the power table and every Horner step on
-packed monomials, and unpacks the result once; `Poly.terms` always keeps
-exponent tuples.
+images once, at the width `backend.field_bits` gives for its degree bound,
+runs the power table and every Horner step on packed monomials, and unpacks
+the result once; `Poly.terms` always keeps exponent tuples.  Below degree
+2^15 a bivariate result shares the family cache's exponent tuples.
 
 Coefficients are kept in the canonical form that cyclo.py makes: a value
 on the rational line is a plain int or Fraction, never a CycloElem.  Ring
@@ -28,7 +29,7 @@ lexicographic with the first context variable major, highest terms first.
 
 from __future__ import annotations
 
-from .backend import add_terms, mul_terms, pack, scale_terms, unpack
+from .backend import add_terms, field_bits, mul_terms, pack, scale_terms, unpack
 from .cyclo import (
     CycloElem,
     coef_components,
@@ -240,24 +241,14 @@ class Poly:
             return Poly.zero(target)
         if not imgs:
             return Poly(target, dict(self.terms), _internal=True)
-        img_terms = [p.terms for p in imgs]
-        one = {(0,) * len(target): 1}
-        # degree 1 only scales and adds the images: packing would cost more
-        # than it saves.  Above it, a term of total degree d maps to a product
-        # of d images, so no exponent in the Horner scheme exceeds
-        # deg(self) * max image degree; fields that wide never carry.
-        degree = self.degree()
-        packed = degree > 1
-        if packed:
-            w = (degree * max(0, *(p.degree() for p in imgs))).bit_length() or 1
-            img_terms = [pack(t, w) for t in img_terms]
-            one = {0: 1}
-        powers = [one]
+        # a term of total degree d maps to a product of d images, so no
+        # exponent in the Horner scheme exceeds deg(self) * max image degree
+        w = field_bits(len(target), self.degree() * max(0, *(p.degree() for p in imgs)))
+        img_terms = [pack(p.terms, w) for p in imgs]
+        powers = [{0: 1}]
         for _ in range(max(e[0] for e in self.terms)):
             powers.append(mul_terms(powers[-1], img_terms[0]))
-        terms = _subst(self.terms, img_terms, powers)
-        if packed:
-            terms = unpack(terms, w, len(target))
+        terms = unpack(_subst(self.terms, img_terms, powers), w, len(target))
         return Poly(target, terms, _internal=True)
 
     def substitute_var(self, name, image) -> "Poly":
@@ -382,10 +373,9 @@ class Poly:
 def _subst(terms, img_terms, powers):
     """Recursive Horner over the last variable.
 
-    terms has exponent tuples; img_terms holds one image term dict per
-    remaining variable; powers[i] is the first image to the i-th power, one
-    table shared by every level.  Images, powers and the result share one
-    key kind, packed or tuple.
+    terms has exponent tuples; img_terms holds one packed image term dict
+    per remaining variable; powers[i] is the first image to the i-th power,
+    one table shared by every level.  The result is packed too.
     """
     if len(img_terms) == 1:
         acc = {}

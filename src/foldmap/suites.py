@@ -14,6 +14,7 @@ from math import isqrt
 from . import automorphism, leading, projective, weyl
 from .folding import (
     FAMILY_TAGS,
+    HALF_FOLDS,
     compose,
     first_difference,
     fold,
@@ -65,15 +66,11 @@ def _case_commute(tag, m, n):
     )
 
 
-# the family whose maps each square-root map commutes with
-_HALF_FAMILY = {"b_sqrt2": "b2", "g_sqrt3": "g2"}
-
-
 def _case_half_commute(kind, n):
     # empirical observation, not a stated theorem: the square-root maps
     # commute with their own family
     half = half_fold(kind)
-    tag = _HALF_FAMILY[kind]
+    tag = HALF_FOLDS[kind][0]
     fn = fold(tag, n)
     witness = first_difference(compose(half, fn), compose(fn, half))
     return CaseRecord(
@@ -189,7 +186,7 @@ def _case_proj_half(kind):
     half = half_fold(kind)
     rep = projective.indeterminacy(half)
     square = compose(half, half)
-    target = fold("b2", 2) if kind == "b_sqrt2" else fold("g2", 3)
+    target = fold(*HALF_FOLDS[kind][:2])
     ok = rep.points == [(0, 1, 0)] and rep.unresolved is None and square == target
     if kind == "b_sqrt2":
         # a non-morphism whose second iterate is a morphism
@@ -267,7 +264,7 @@ def _family(descriptor):
     """The family that the descriptor's case writes to inputs.family."""
     kind, args = descriptor
     if kind == "half_commute":
-        return _HALF_FAMILY[args[0]]
+        return HALF_FOLDS[args[0]][0]
     return _FIXED_FAMILY.get(kind, args[0])
 
 
@@ -281,7 +278,7 @@ def _descriptors(name: str, config: dict):
                     out.append(("commute", (tag, m, n)))
             for k in (0, 1):
                 out.append(("commute", (tag, k, top)))
-        for kind in ("b_sqrt2", "g_sqrt3"):
+        for kind in HALF_FOLDS:
             for n in (2, 3):
                 out.append(("half_commute", (kind, n)))
     elif name == "leading":
@@ -303,8 +300,8 @@ def _descriptors(name: str, config: dict):
         for tag in FAMILY_TAGS:
             for n in range(2, config["proj_max"] + 1):
                 out.append(("proj", (tag, n)))
-        out.append(("proj_half", ("b_sqrt2",)))
-        out.append(("proj_half", ("g_sqrt3",)))
+        for kind in HALF_FOLDS:
+            out.append(("proj_half", (kind,)))
         for tag, n, m in (
             ("g2", 2, 2), ("g2", 2, 3), ("g2", 3, 2),
             ("a2", 2, 3), ("b2", 2, 3),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foldmap import folding
+from foldmap.backend import pack
 from foldmap.cyclo import CycloElem
 from foldmap.folding import (
     compose,
@@ -198,31 +199,49 @@ def test_fold_rejects_non_int_n(bad):
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
-def test_fold_window_widening_keeps_every_power_sum(tag, monkeypatch):
-    monkeypatch.setattr(folding, "_WINDOW_BITS", 1)
-    narrow = folding._Cache()
-    with mock.patch.object(narrow, "_repack", wraps=narrow._repack) as repack:
-        narrow.extend(tag, 40)
-    # starting from 1 bit, the fields widen at every power of two of n * g
-    assert repack.call_count >= 6
-    fold(tag, 40)  # the module cache, whose 8-bit fields hold every n <= 40
-    for ps_narrow, ps in zip(narrow.stored[tag], folding._CACHE.stored[tag]):
-        assert len(ps_narrow) == 41
+def test_fresh_cache_stores_the_module_caches_pairs(tag):
+    fresh = folding._Cache()
+    fresh.extend(tag, 40)
+    fold(tag, 40)
+    for ps_fresh, ps in zip(fresh.stored[tag], folding._CACHE.stored[tag], strict=True):
+        assert len(ps_fresh) == 41
         # each stored pair is (monomials, coefficients) in insertion order
-        for n, pair in enumerate(ps_narrow):
+        for n, pair in enumerate(ps_fresh):
             assert pair == ps[n], (tag, n)
 
 
+@pytest.mark.parametrize("tag, top", [("a2", 32767), ("b2", 16383), ("g2", 10922)])
+def test_fold_refuses_n_past_the_packed_fields_at_once(tag, top, monkeypatch):
+    # n * max deg e_k < 2^15 is the last n whose exponents fit 15-bit fields
+    assert folding._MAX_N[tag] == top
+    stored = [list(ps) for ps in folding._CACHE.stored[tag]]
+    monkeypatch.setattr(folding, "_power_sum", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=str(top)):
+        fold(tag, top + 1)
+    assert folding._CACHE.stored[tag] == stored
+
+
 def test_stored_polys_share_one_tuple_per_monomial():
-    # a fresh cache, whose 8-bit fields hold every n here from the start; the
-    # module cache may have been widened part way by earlier tests
+    # g2 90 has exponents up to 270, past 8 bits, and P_0 is stored too
     cache = folding._Cache()
-    for tag, n in (("b2", 40), ("g2", 30)):
+    for tag, n in (("a2", 60), ("b2", 40), ("g2", 90)):
         cache.extend(tag, n)
-        assert cache.width[tag] == folding._WINDOW_BITS
-        # P_0 is the constant K, stored before the recurrence runs
-        exps = [e for ps in cache.stored[tag] for monomials, _ in ps[1:] for e in monomials]
-        assert len(set(map(id, exps))) == len(set(exps)), tag
+    # every family's stored power sums draw on one memo
+    exps = [e for pss in cache.stored.values() for ps in pss for monomials, _ in ps
+            for e in monomials]
+    assert len(set(map(id, exps))) == len(set(exps))
+
+
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_compose_shares_the_caches_exponent_tuples(tag):
+    got = compose(fold(tag, 8), fold(tag, 8))
+    want = fold(tag, 64)
+    assert got == want
+    # the stored coordinates: A2's second is swap_conjugate of its first
+    stored = len(folding._CACHE.stored[tag])
+    for p_got, p_want in zip(got.components()[:stored], want.components()[:stored]):
+        mine = {e: e for e in p_want.terms}
+        assert all(mine[e] is e for e in p_got.terms)
 
 
 # pickle writes an int in 1, 2 or 4 bytes up to 2^31, then as LONG1 (up to
@@ -241,9 +260,11 @@ _STORED_INTS = st.one_of(
 @example([2**2047, -(2**2047) - 1, 2**31, -(2**31) - 1, 255, 256])
 def test_terms_round_trips_stored_coefficients(coefs):
     monomials = tuple((i, len(coefs) - i) for i in range(len(coefs)))
-    terms = folding._terms((monomials, folding._pickle_coefs(tuple(coefs))))
+    pair = folding._store(pack(dict(zip(monomials, coefs)), folding._BITS), 2)
+    assert pair[0] == monomials and type(pair[1]) is bytes
+    terms = folding._poly(XY_VARS, pair).terms
     # the stored exponent tuples themselves, in stored order
-    assert all(got is want for got, want in zip(terms, monomials, strict=True))
+    assert all(got is want for got, want in zip(terms, pair[0], strict=True))
     assert list(terms.values()) == coefs
     assert all(type(c) is int for c in terms.values())
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldmap import backend_name
-from foldmap.backend import add_terms, mul_terms, pack, scale_terms, unpack
+from foldmap.backend import add_terms, field_bits, mul_terms, pack, scale_terms, unpack
 from foldmap.cyclo import CycloElem
 
 
@@ -219,6 +219,17 @@ def test_packed_fields_do_not_carry(k):
     got = unpack(mul_terms(pack(a, w), pack(b, w)), w, 3)
     assert list(got.items()) == list(ordered_mul(a, b).items())
     assert got[(2 * top, 2 * top, 2 * top)] == 5
+
+
+def test_field_bits_fills_one_int_digit():
+    # two variables share one 30-bit digit until an exponent needs more
+    assert [field_bits(2, top) for top in (0, 1, 2**15 - 1, 2**15)] == [15, 15, 15, 16]
+    assert field_bits(2) == 15
+    top = 2**15 - 1
+    (key,) = pack({(top, top): 1}, field_bits(2, top))
+    assert key == 2**30 - 1
+    assert unpack({key: 1}, 15, 2) == {(top, top): 1}
+    assert field_bits(8, 5) == 3 and field_bits(8, 100) == 7
 
 
 def test_integral_fraction_results_are_ints():

@@ -521,6 +521,12 @@ def test_packed_substitute_with_wide_exponents(k):
     assert typed_items(p.substitute(images).terms) == typed_items(tuple_substitute(p, images))
 
 
+def test_substitute_into_an_empty_context():
+    # images with no variables pack to the one key 0 at any width
+    three = Poly((), {(): 3})
+    assert (X**3 * Y + X + 2).substitute({"x": three, "y": three}).terms == {(): 86}
+
+
 @pytest.mark.parametrize("d, top", [(3, 5), (7, 9), (3, (2**42 - 1) // 3)])
 def test_packed_substitute_fills_its_fields(d, top):
     # y^d -> y^(d * top) = y^(2^k - 1) reaches deg(p) * max image degree,
