@@ -12,11 +12,12 @@ with P_0 replaced by n in the k = n term.  For n >= K this is the published
 recursion; below K it gives the published base rows.  Results are memoized
 per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
 The recursion runs on packed monomials (see backend.py), at one field width
-for every family and n, over a window of the last K power sums.  Each new
-P_n is unpacked once and stored at rest as a pair: the tuple of its
-monomials and its coefficients pickled into one bytes object, so the cache
-holds no coefficient as an int object; fold builds a fresh Poly from the
-pair for every map it returns.
+for every family and n, over a window of the last K power sums, kept live
+for the family extended last only.  Each new P_n is stored at rest as a
+pair: its packed monomials in an array of machine ints and its
+coefficients pickled into one bytes object, so the cache holds neither a
+monomial nor a coefficient as an int object; fold builds a fresh Poly from
+the pair for every map it returns, on the exponent tuples of unpack's memo.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import pickle
 import threading
+from array import array
 from dataclasses import dataclass
 
-from .backend import add_terms, field_bits, mul_terms, pack, unpack
+from .backend import add_terms, field_bits, mul_terms, pack, unpack_memo
 from .poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 FAMILY_TAGS = ("a2", "b2", "g2")
@@ -126,13 +128,16 @@ _MAX_N = {tag: ((1 << _BITS) - 1) // max(e.degree() for es in fam.symmetric for 
 
 
 def _store(packed: dict, nvars: int) -> tuple:
-    """The pair (monomials, blob) that keeps a packed power sum at rest."""
-    terms = unpack(packed, _BITS, nvars)
+    """The pair (keys, blob) that keeps a packed power sum at rest: its
+    packed monomials, in insertion order, as one array of machine ints, and
+    its coefficients pickled into one bytes object.  It first puts the
+    exponent tuple of each new key in unpack's memo, where _poly finds it."""
+    unpack_memo(_BITS, nvars, packed)
     # The blobs are made and read only inside this process, from coefficients
     # the recurrence computed, so none of them is untrusted input to
     # pickle.loads.  Pickle writes an int the same way whatever object holds
     # it, so equal power sums store equal bytes.
-    return tuple(terms), pickle.dumps(tuple(terms.values()), protocol=5)
+    return array("I", packed), pickle.dumps(tuple(packed.values()), protocol=5)
 
 
 class _Cache:
@@ -144,24 +149,31 @@ class _Cache:
     deg P_m <= m * g by induction (deg e_k P_{n-k} <= g + (n - k) * g), so no
     exponent of P_n or of the products behind it exceeds n * g, and extend
     refuses an n with n * g >= 2^_BITS before it does any work.  Each P_n,
-    P_0 included, is stored by _store as one pair (monomials, blob), in the
-    insertion order unpack returned: the tuple of monomials, each an
-    exponent tuple unpack shares, and the coefficients pickled into one
-    bytes object.  F_n's coefficients are mostly ints of several 30-bit
-    digits, which as int objects cost about three times their pickled bytes.
+    P_0 included, is stored by _store as one pair (keys, blob) in the
+    insertion order the recurrence made: the packed keys in an array of
+    4-byte ints (each below 2^30, two 15-bit fields), which holds no int
+    object, and the coefficients pickled into one bytes object.  F_n's
+    coefficients are mostly ints of several 30-bit digits, which as int
+    objects cost about three times their pickled bytes.
+
+    Only one family's windows are live, in `live`: those of the family
+    extended last.  Extending another family drops them and rebuilds its
+    windows from its last K stored pairs, with the same keys, values and
+    insertion order the recurrence left, so the power sums that follow are
+    the same bytes.  Every command uses one family, and the suites run their
+    families one after another, so a rebuild is rare.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
         self.stored = {tag: [] for tag in FAMILIES}
-        self.packed = {tag: [] for tag in FAMILIES}   # per coordinate (packed es, window)
+        self.es = {tag: [] for tag in FAMILIES}   # per coordinate the packed e_1..e_K
+        self.live = {}                            # {tag: per coordinate its window}
         for tag, fam in FAMILIES.items():
             for es in fam.symmetric:
                 by_id = {id(e): pack(e.terms, _BITS) for e in es[:-1]}   # a mirror pair stays one
-                packed_es = tuple(by_id[id(e)] for e in es[:-1]) + (1,)
-                window = [{0: len(es)}]
-                self.packed[tag].append((packed_es, window))
-                self.stored[tag].append([_store(window[0], len(fam.vars))])
+                self.es[tag].append(tuple(by_id[id(e)] for e in es[:-1]) + (1,))
+                self.stored[tag].append([_store({0: len(es)}, len(fam.vars))])
 
     def extend(self, tag: str, n: int):
         if n > _MAX_N[tag]:
@@ -172,9 +184,16 @@ class _Cache:
         stored = self.stored[tag]
         nvars = len(FAMILIES[tag].vars)
         with self.lock:
+            if len(stored[-1]) > n:
+                return
+            if tag not in self.live:
+                self.live = {tag: [
+                    [dict(zip(keys, pickle.loads(blob))) for keys, blob in ps[-len(es):]]
+                    for es, ps in zip(self.es[tag], stored)
+                ]}
             while len(stored[-1]) <= n:
                 m = len(stored[-1])
-                for (es, window), ps in zip(self.packed[tag], stored):
+                for es, window, ps in zip(self.es[tag], self.live[tag], stored):
                     p = _power_sum(es, window, m)
                     window.append(p)
                     if len(window) > len(es):
@@ -186,9 +205,11 @@ _CACHE = _Cache()
 
 
 def _poly(vars: tuple, pair: tuple) -> Poly:
-    """A fresh Poly on the stored pair (monomials, blob), in stored order."""
-    monomials, blob = pair
-    return Poly(vars, dict(zip(monomials, pickle.loads(blob))), _internal=True)
+    """A fresh Poly on the stored pair (keys, blob), in stored order, each
+    monomial the exponent tuple unpack's memo shares."""
+    keys, blob = pair
+    memo = unpack_memo(_BITS, len(vars))
+    return Poly(vars, dict(zip(map(memo.__getitem__, keys), pickle.loads(blob))), _internal=True)
 
 
 def fold(tag: str, n: int) -> PolyMap2:

@@ -244,9 +244,12 @@ class Poly:
         # a term of total degree d maps to a product of d images, so no
         # exponent in the Horner scheme exceeds deg(self) * max image degree
         w = field_bits(len(target), self.degree() * max(0, *(p.degree() for p in imgs)))
-        img_terms = [pack(p.terms, w) for p in imgs]
+        # the largest exponent of each variable; _subst never reads the
+        # image of a variable that does not occur, so that one stays unpacked
+        tops = list(map(max, zip(*self.terms)))
+        img_terms = [pack(p.terms, w) if top else {} for p, top in zip(imgs, tops)]
         powers = [{0: 1}]
-        for _ in range(max(e[0] for e in self.terms)):
+        for _ in range(tops[0]):
             powers.append(mul_terms(powers[-1], img_terms[0]))
         terms = unpack(_subst(self.terms, img_terms, powers), w, len(target))
         return Poly(target, terms, _internal=True)

@@ -1,13 +1,15 @@
 """Folding-map generation, composition, and the commutation law."""
 
 import gc
+import pickle
+from array import array
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foldmap import folding
-from foldmap.backend import pack
+from foldmap.backend import pack, unpack_memo
 from foldmap.cyclo import CycloElem
 from foldmap.folding import (
     compose,
@@ -205,7 +207,7 @@ def test_fresh_cache_stores_the_module_caches_pairs(tag):
     fold(tag, 40)
     for ps_fresh, ps in zip(fresh.stored[tag], folding._CACHE.stored[tag], strict=True):
         assert len(ps_fresh) == 41
-        # each stored pair is (monomials, coefficients) in insertion order
+        # each stored pair is (packed keys, pickled coefficients) in insertion order
         for n, pair in enumerate(ps_fresh):
             assert pair == ps[n], (tag, n)
 
@@ -222,13 +224,14 @@ def test_fold_refuses_n_past_the_packed_fields_at_once(tag, top, monkeypatch):
 
 
 def test_stored_polys_share_one_tuple_per_monomial():
-    # g2 90 has exponents up to 270, past 8 bits, and P_0 is stored too
-    cache = folding._Cache()
-    for tag, n in (("a2", 60), ("b2", 40), ("g2", 90)):
-        cache.extend(tag, n)
-    # every family's stored power sums draw on one memo
-    exps = [e for pss in cache.stored.values() for ps in pss for monomials, _ in ps
-            for e in monomials]
+    # g2 90 has exponents up to 270, past 8 bits, and P_0 is returned too
+    exps = []
+    for tag, top in (("a2", 60), ("b2", 40), ("g2", 90)):
+        # the stored coordinates: A2's second is swap_conjugate of its first
+        stored = len(folding._CACHE.stored[tag])
+        for n in range(top + 1):
+            exps += [e for p in fold(tag, n).components()[:stored] for e in p.terms]
+    # every family's stored coordinates draw on one memo
     assert len(set(map(id, exps))) == len(set(exps))
 
 
@@ -260,32 +263,75 @@ _STORED_INTS = st.one_of(
 @example([2**2047, -(2**2047) - 1, 2**31, -(2**31) - 1, 255, 256])
 def test_terms_round_trips_stored_coefficients(coefs):
     monomials = tuple((i, len(coefs) - i) for i in range(len(coefs)))
-    pair = folding._store(pack(dict(zip(monomials, coefs)), folding._BITS), 2)
-    assert pair[0] == monomials and type(pair[1]) is bytes
+    packed = pack(dict(zip(monomials, coefs)), folding._BITS)
+    pair = folding._store(packed, 2)
+    assert type(pair[0]) is array and list(pair[0]) == list(packed)
+    assert type(pair[1]) is bytes
     terms = folding._poly(XY_VARS, pair).terms
-    # the stored exponent tuples themselves, in stored order
-    assert all(got is want for got, want in zip(terms, pair[0], strict=True))
+    # the memo's exponent tuples, in stored order
+    memo = unpack_memo(folding._BITS, 2)
+    assert list(terms) == list(monomials)
+    assert all(got is memo[k] for got, k in zip(terms, pair[0], strict=True))
     assert list(terms.values()) == coefs
     assert all(type(c) is int for c in terms.values())
+
+
+def test_stored_keys_fit_the_array():
+    # two 15-bit fields make a key below 2^30
+    keys, _ = folding._CACHE.stored["a2"][0][0]
+    assert keys.itemsize * 8 >= 2 * folding._BITS
 
 
 def test_cache_holds_no_coefficient_ints():
     cache = folding._Cache()
     cache.extend("b2", 60)
     stored = cache.stored["b2"]
-    assert all(type(blob) is bytes for ps in stored for _, blob in ps)
+    assert all(type(keys) is array and type(blob) is bytes for ps in stored for keys, blob in ps)
     reachable, stack = {}, [stored]
     while stack:
         obj = stack.pop()
-        if id(obj) not in reachable:
+        # an array's referent is its type, a heap type, which reaches the
+        # whole interpreter; no type object is part of the cache
+        if id(obj) not in reachable and not isinstance(obj, type):
             reachable[id(obj)] = obj
             stack.extend(gc.get_referents(obj))
-    ints = [o for o in reachable.values() if type(o) is int]
-    # only exponents, each <= 60 * 2 (deg P_n <= n * max deg e_k), remain:
-    # CPython keeps one shared object for each int up to 256
-    assert ints and max(ints) <= 120 and len(ints) == len(set(ints))
-    # F_60's coefficients alone have more distinct values than that
+    assert {type(o) for o in reachable.values()} == {list, tuple, array, bytes}
+    # monomials and coefficients alike are kept as raw bytes
+    assert not [o for o in reachable.values() if type(o) is int]
+    # F_60's coefficients alone have more distinct values than CPython's
+    # shared small ints
     assert len(set(fold("b2", 60).second.terms.values())) > 121
+
+
+def test_switching_families_rebuilds_the_windows_exactly():
+    steps = [("a2", 30), ("b2", 10), ("a2", 60), ("g2", 5), ("b2", 40)]
+    cache = folding._Cache()
+    with mock.patch.object(folding, "_power_sum", wraps=folding._power_sum) as spy:
+        for tag, n in steps:
+            cache.extend(tag, n)
+    # one call per new power sum and stored coordinate: a2 has one, b2 and g2 two
+    assert spy.call_count == 60 + 2 * 40 + 2 * 5
+    assert list(cache.live) == ["b2"]
+    # an n already stored leaves the live windows alone
+    cache.extend("a2", 60)
+    assert list(cache.live) == ["b2"]
+    for tag, n in steps:
+        straight = folding._Cache()
+        straight.extend(tag, n)
+        for ps_switched, ps in zip(cache.stored[tag], straight.stored[tag], strict=True):
+            assert ps_switched[:n + 1] == ps
+
+
+def test_the_cache_keeps_the_last_familys_windows_only():
+    cache = folding._Cache()
+    for tag, n in (("g2", 90), ("b2", 150), ("a2", 200)):
+        cache.extend(tag, n)
+    assert list(cache.live) == ["a2"]
+    (window,) = cache.live["a2"]
+    assert len(window) == 3
+    # the recurrence's last three power sums, on packed keys
+    for p, (keys, blob) in zip(window, cache.stored["a2"][0][-3:], strict=True):
+        assert list(p.items()) == list(zip(keys, pickle.loads(blob)))
 
 
 def test_commute_witness_on_failure():

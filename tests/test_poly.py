@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -536,3 +537,15 @@ def test_packed_substitute_fills_its_fields(d, top):
     got = p.substitute(images)
     assert got.terms == {(0, d * top): 1, (1, top): 1, (1, 0): 1}
     assert typed_items(got.terms) == typed_items(tuple_substitute(p, images))
+
+
+@pytest.mark.parametrize("p, packed", [(X, 1), (Y, 1), (3 * X**2 - X, 1), (X * Y - 2, 2)])
+def test_substitute_packs_only_the_images_that_occur(p, packed, monkeypatch):
+    f = fold("b2", 7)
+    images = {"x": f.first, "y": f.second}
+    want = tuple_substitute(p, images)
+    spy = mock.Mock(wraps=poly_module.pack)
+    monkeypatch.setattr(poly_module, "pack", spy)
+    got = p.substitute(images)
+    assert spy.call_count == packed
+    assert typed_items(got.terms) == typed_items(want)
