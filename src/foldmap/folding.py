@@ -17,7 +17,7 @@ for the family extended last only.  Each new P_n is stored at rest as a
 pair: its packed monomials in an array of machine ints and its
 coefficients pickled into one bytes object, so the cache holds neither a
 monomial nor a coefficient as an int object; fold builds a fresh Poly from
-the pair for every map it returns, on the exponent tuples of unpack's memo.
+the pair for every map it returns, unpacked to fresh exponent tuples.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -30,7 +30,7 @@ import threading
 from array import array
 from dataclasses import dataclass
 
-from .backend import add_terms, field_bits, mul_terms, pack, unpack_memo
+from .backend import add_terms, field_bits, mul_terms, pack, unpack
 from .poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 FAMILY_TAGS = ("a2", "b2", "g2")
@@ -127,17 +127,21 @@ _MAX_N = {tag: ((1 << _BITS) - 1) // max(e.degree() for es in fam.symmetric for 
           for tag, fam in FAMILIES.items()}
 
 
-def _store(packed: dict, nvars: int) -> tuple:
+def _store(packed: dict) -> tuple:
     """The pair (keys, blob) that keeps a packed power sum at rest: its
     packed monomials, in insertion order, as one array of machine ints, and
-    its coefficients pickled into one bytes object.  It first puts the
-    exponent tuple of each new key in unpack's memo, where _poly finds it."""
-    unpack_memo(_BITS, nvars, packed)
+    its coefficients pickled into one bytes object."""
     # The blobs are made and read only inside this process, from coefficients
     # the recurrence computed, so none of them is untrusted input to
     # pickle.loads.  Pickle writes an int the same way whatever object holds
     # it, so equal power sums store equal bytes.
     return array("I", packed), pickle.dumps(tuple(packed.values()), protocol=5)
+
+
+def _packed(pair: tuple) -> dict:
+    """The packed terms of a stored pair, in stored order."""
+    keys, blob = pair
+    return dict(zip(keys, pickle.loads(blob)))
 
 
 class _Cache:
@@ -173,7 +177,7 @@ class _Cache:
             for es in fam.symmetric:
                 by_id = {id(e): pack(e.terms, _BITS) for e in es[:-1]}   # a mirror pair stays one
                 self.es[tag].append(tuple(by_id[id(e)] for e in es[:-1]) + (1,))
-                self.stored[tag].append([_store({0: len(es)}, len(fam.vars))])
+                self.stored[tag].append([_store({0: len(es)})])
 
     def extend(self, tag: str, n: int):
         if n > _MAX_N[tag]:
@@ -182,15 +186,12 @@ class _Cache:
                 f"exponents fit the {_BITS}-bit packed fields"
             )
         stored = self.stored[tag]
-        nvars = len(FAMILIES[tag].vars)
         with self.lock:
             if len(stored[-1]) > n:
                 return
             if tag not in self.live:
-                self.live = {tag: [
-                    [dict(zip(keys, pickle.loads(blob))) for keys, blob in ps[-len(es):]]
-                    for es, ps in zip(self.es[tag], stored)
-                ]}
+                self.live = {tag: [[_packed(pair) for pair in ps[-len(es):]]
+                                   for es, ps in zip(self.es[tag], stored)]}
             while len(stored[-1]) <= n:
                 m = len(stored[-1])
                 for es, window, ps in zip(self.es[tag], self.live[tag], stored):
@@ -198,18 +199,15 @@ class _Cache:
                     window.append(p)
                     if len(window) > len(es):
                         del window[0]
-                    ps.append(_store(p, nvars))
+                    ps.append(_store(p))
 
 
 _CACHE = _Cache()
 
 
 def _poly(vars: tuple, pair: tuple) -> Poly:
-    """A fresh Poly on the stored pair (keys, blob), in stored order, each
-    monomial the exponent tuple unpack's memo shares."""
-    keys, blob = pair
-    memo = unpack_memo(_BITS, len(vars))
-    return Poly(vars, dict(zip(map(memo.__getitem__, keys), pickle.loads(blob))), _internal=True)
+    """A fresh Poly on the stored pair (keys, blob), in stored order."""
+    return Poly(vars, unpack(_packed(pair), _BITS, len(vars)), _internal=True)
 
 
 def fold(tag: str, n: int) -> PolyMap2:

@@ -13,8 +13,7 @@ context (one recursive Horner scheme for every number of variables), and
 a polynomial that does not contain it untouched.  `substitute` packs the
 images once, at the width `backend.field_bits` gives for its degree bound,
 runs the power table and every Horner step on packed monomials, and unpacks
-the result once; `Poly.terms` always keeps exponent tuples.  Below degree
-2^15 a bivariate result shares the family cache's exponent tuples.
+the result once; `Poly.terms` always keeps exponent tuples.
 
 Coefficients are kept in the canonical form that cyclo.py makes: a value
 on the rational line is a plain int or Fraction, never a CycloElem.  Ring
@@ -248,8 +247,9 @@ class Poly:
         # image of a variable that does not occur, so that one stays unpacked
         tops = list(map(max, zip(*self.terms)))
         img_terms = [pack(p.terms, w) if top else {} for p, top in zip(imgs, tops)]
-        powers = [{0: 1}]
-        for _ in range(tops[0]):
+        # x^1's image is the image itself, so the table multiplies from x^2 on
+        powers = [{0: 1}, img_terms[0]]
+        for _ in range(1, tops[0]):
             powers.append(mul_terms(powers[-1], img_terms[0]))
         terms = unpack(_subst(self.terms, img_terms, powers), w, len(target))
         return Poly(target, terms, _internal=True)

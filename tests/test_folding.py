@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foldmap import folding
-from foldmap.backend import pack, unpack_memo
+from foldmap.backend import pack
 from foldmap.cyclo import CycloElem
 from foldmap.folding import (
     compose,
@@ -223,28 +223,10 @@ def test_fold_refuses_n_past_the_packed_fields_at_once(tag, top, monkeypatch):
     assert folding._CACHE.stored[tag] == stored
 
 
-def test_stored_polys_share_one_tuple_per_monomial():
-    # g2 90 has exponents up to 270, past 8 bits, and P_0 is returned too
-    exps = []
-    for tag, top in (("a2", 60), ("b2", 40), ("g2", 90)):
-        # the stored coordinates: A2's second is swap_conjugate of its first
-        stored = len(folding._CACHE.stored[tag])
-        for n in range(top + 1):
-            exps += [e for p in fold(tag, n).components()[:stored] for e in p.terms]
-    # every family's stored coordinates draw on one memo
-    assert len(set(map(id, exps))) == len(set(exps))
-
-
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
 def test_compose_shares_the_caches_exponent_tuples(tag):
-    got = compose(fold(tag, 8), fold(tag, 8))
-    want = fold(tag, 64)
-    assert got == want
-    # the stored coordinates: A2's second is swap_conjugate of its first
-    stored = len(folding._CACHE.stored[tag])
-    for p_got, p_want in zip(got.components()[:stored], want.components()[:stored]):
-        mine = {e: e for e in p_want.terms}
-        assert all(mine[e] is e for e in p_got.terms)
+    # F_8 o F_8 = F_64, each decoded from packed terms by backend.unpack
+    assert compose(fold(tag, 8), fold(tag, 8)) == fold(tag, 64)
 
 
 # pickle writes an int in 1, 2 or 4 bytes up to 2^31, then as LONG1 (up to
@@ -264,14 +246,12 @@ _STORED_INTS = st.one_of(
 def test_terms_round_trips_stored_coefficients(coefs):
     monomials = tuple((i, len(coefs) - i) for i in range(len(coefs)))
     packed = pack(dict(zip(monomials, coefs)), folding._BITS)
-    pair = folding._store(packed, 2)
+    pair = folding._store(packed)
     assert type(pair[0]) is array and list(pair[0]) == list(packed)
     assert type(pair[1]) is bytes
     terms = folding._poly(XY_VARS, pair).terms
-    # the memo's exponent tuples, in stored order
-    memo = unpack_memo(folding._BITS, 2)
+    # the exponent tuples and coefficients in stored order
     assert list(terms) == list(monomials)
-    assert all(got is memo[k] for got, k in zip(terms, pair[0], strict=True))
     assert list(terms.values()) == coefs
     assert all(type(c) is int for c in terms.values())
 

@@ -549,3 +549,17 @@ def test_substitute_packs_only_the_images_that_occur(p, packed, monkeypatch):
     got = p.substitute(images)
     assert spy.call_count == packed
     assert typed_items(got.terms) == typed_items(want)
+
+
+@pytest.mark.parametrize("p, products", [(X, 0), (3 * X - 2, 0), (X**2 + X, 1), (X**3 - X, 2)])
+def test_substitute_multiplies_only_for_powers_past_the_first(p, products, monkeypatch):
+    # p has no y, so every product is one of the first image's power table:
+    # x^2 and up cost one each, x^1 is the image itself
+    f = fold("b2", 7)
+    images = {"x": f.first, "y": f.second}
+    want = tuple_substitute(p, images)
+    spy = mock.Mock(wraps=poly_module.mul_terms)
+    monkeypatch.setattr(poly_module, "mul_terms", spy)
+    got = p.substitute(images)
+    assert spy.call_count == products
+    assert typed_items(got.terms) == typed_items(want)
