@@ -17,13 +17,14 @@ exponent tuple into one int with a field of w bits per variable, the first
 variable most significant, so multiplying two monomials is one integer add;
 `unpack` turns them back.  Every kernel works on either key kind as it is
 given and never converts one into the other.  w must hold every exponent of
-the product, or a field carries into the next; `field_bits` is the one place
-that chooses it.  `Poly.substitute` and family generation pack with it once
-per call or per family and keep their products packed throughout.  Every
-other product, such as the solver's, has operands of a few terms and stays
-on tuples, where packing on entry was measured slower.  A future caller with
-large operands, such as the G2-from-A2 product z_n * w_n, packs them itself
-with `field_bits`, `pack` and `unpack`.
+the product, or a field carries into the next; `field_bits` chooses it, as
+the bit length of the largest exponent the caller's products reach.
+`Poly.substitute` and family generation pack with it once per call or per
+family and keep their products packed throughout.  Every other product,
+such as the solver's, has operands of a few terms and stays on tuples,
+where packing on entry was measured slower.  A future caller with large
+operands, such as the G2-from-A2 product z_n * w_n, packs them itself with
+`field_bits`, `pack` and `unpack`.
 
 `unpack` keeps no state: it builds a fresh exponent tuple for every term.
 Two variables, the shape of every family map and every `compose` result,
@@ -94,12 +95,9 @@ def scale_terms(a, coef):
     return out
 
 
-def field_bits(nvars, top=0):
-    """Field width for nvars exponents up to top: top's bit length, or an
-    even share of one int digit if that is wider, so two variables pack at
-    15 bits into one-digit keys until an exponent reaches 2^15."""
-    # 30 bits: CPython's int digit on 64-bit builds
-    return max(top.bit_length(), 30 // max(nvars, 1), 1)
+def field_bits(top):
+    """Field width for exponents up to top: top's bit length, at least 1."""
+    return max(top.bit_length(), 1)
 
 
 def _shifts(w, nvars):

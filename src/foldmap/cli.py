@@ -16,13 +16,16 @@ import sys
 import time
 
 from . import automorphism, projective, suites, weyl
-from .folding import FAMILY_TAGS, fold, fold_xy, half_fold, normalize_tag
+from .folding import (FAMILY_TAGS, HALF_FOLDS, N_DESK_BOUND, fold, fold_xy, half_fold,
+                      normalize_tag)
 from .poly import PolyMap2
 
 USAGE_ERROR = 64
 BROKEN_PIPE = 141  # 128 + SIGPIPE, the shell's code for a closed output pipe
 
-GEN_FAMILIES = ("a2", "b2", "g2", "bsqrt2", "gsqrt3")
+# a half fold's name on the command line is its HALF_FOLDS key without "_"
+HALF_NAMES = tuple(kind.replace("_", "") for kind in HALF_FOLDS)
+GEN_FAMILIES = FAMILY_TAGS + HALF_NAMES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,14 +41,14 @@ def _emit(obj) -> None:
 
 
 def _check_n(n: int | None) -> None:
-    if n is not None and n > projective.N_DESK_BOUND:
-        raise ValueError(f"--n {n} exceeds the desk bound {projective.N_DESK_BOUND}")
+    if n is not None and n > N_DESK_BOUND:
+        raise ValueError(f"--n {n} exceeds the desk bound {N_DESK_BOUND}")
 
 
 def _get_map(family: str, n: int | None, model: str) -> PolyMap2:
     _check_n(n)
     family = family.lower()
-    if family in ("bsqrt2", "gsqrt3"):
+    if family in HALF_NAMES:
         if n is not None:
             raise ValueError(
                 f"--n does not apply to {family}: the half folds are single fixed maps"
@@ -85,7 +88,7 @@ def cmd_verify(args) -> int:
         if args.max_n > largest:
             raise ValueError(
                 f"verify {args.what} needs --max-n <= {largest} to stay within "
-                f"the desk bound {projective.N_DESK_BOUND}, got {args.max_n}"
+                f"the desk bound {N_DESK_BOUND}, got {args.max_n}"
             )
         if args.what == "commute":
             config["commute_max"] = args.max_n

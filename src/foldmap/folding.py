@@ -10,14 +10,15 @@ generate every map:
 
 with P_0 replaced by n in the k = n term.  For n >= K this is the published
 recursion; below K it gives the published base rows.  Results are memoized
-per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1).
-The recursion runs on packed monomials (see backend.py), at one field width
-for every family and n, over a window of the last K power sums, kept live
-for the family extended last only.  Each new P_n is stored at rest as a
-pair: its packed monomials in an array of machine ints and its
-coefficients pickled into one bytes object, so the cache holds neither a
-monomial nor a coefficient as an int object; fold builds a fresh Poly from
-the pair for every map it returns, unpacked to fresh exponent tuples.
+per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1),
+and n stops at the desk bound N_DESK_BOUND.  The recursion runs on packed
+monomials (see backend.py), at one field width for every family and n, over
+a window of the last K power sums, kept live for the family extended last
+only.  Each new P_n is stored at rest as a pair: its packed monomials in an
+array of machine ints and its coefficients pickled into one bytes object,
+so the cache holds neither a monomial nor a coefficient as an int object;
+fold builds a fresh Poly from the pair for every map it returns, unpacked
+to fresh exponent tuples.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -34,6 +35,14 @@ from .backend import add_terms, field_bits, mul_terms, pack, unpack
 from .poly import XY, XY_VARS, ZW, ZW_VARS, Poly, PolyMap2, swap_conjugate, zw_to_xy
 
 FAMILY_TAGS = ("a2", "b2", "g2")
+
+# The largest n that fold accepts, and so the command line (gen, proj, aut,
+# oracle) too, and the bound degree_growth puts on n^m.  Generation cost grows
+# steeply with n: from a cold cache, fold(tag, 200) takes 0.2 s for a2, 1.6 s
+# for b2 and 12 s for g2 (CPython 3.11 on a 2-core Xeon host, best of 2).
+# The benchmark's `generate` workload builds every a2 map up to n = 200, so
+# the bound may not go below 200.
+N_DESK_BOUND = 200
 
 
 def _p(terms: dict) -> Poly:
@@ -53,10 +62,9 @@ HALF_FOLDS = {"b_sqrt2": ("b2", 2, "Bsqrt2"), "g_sqrt3": ("g2", 3, "Gsqrt3")}
 
 def normalize_half_kind(kind: str) -> str:
     t = kind.lower().replace("_", "").replace("-", "")
-    if t in ("bsqrt2", "bsqrt"):
-        return "b_sqrt2"
-    if t in ("gsqrt3", "gsqrt"):
-        return "g_sqrt3"
+    for k in HALF_FOLDS:
+        if k.replace("_", "") == t:
+            return k
     raise ValueError(f"unknown half-fold kind {kind!r}")
 
 
@@ -119,12 +127,10 @@ def _power_sum(es: tuple, window: list, n: int) -> dict:
 
 
 # Field width of every packed power sum: no exponent of P_n, or of the
-# products behind it, exceeds n * g with g = max deg e_k (see _Cache)
-_BITS = field_bits(2)
-
-# the largest n whose n * g fits _BITS; fold raises above it
-_MAX_N = {tag: ((1 << _BITS) - 1) // max(e.degree() for es in fam.symmetric for e in es[:-1])
-          for tag, fam in FAMILIES.items()}
+# products behind it, exceeds n * g with g = max deg e_k (see _Cache), and
+# n <= N_DESK_BOUND
+_BITS = field_bits(N_DESK_BOUND * max(e.degree() for fam in FAMILIES.values()
+                                      for es in fam.symmetric for e in es[:-1]))
 
 
 def _store(packed: dict) -> tuple:
@@ -149,16 +155,16 @@ class _Cache:
 
     Newton's recurrence runs on packed monomials (see backend.py): per
     coordinate a window of the last K power sums, with e_1..e_K packed once,
-    all at the one width _BITS = field_bits(2).  With g = max deg e_k,
-    deg P_m <= m * g by induction (deg e_k P_{n-k} <= g + (n - k) * g), so no
-    exponent of P_n or of the products behind it exceeds n * g, and extend
-    refuses an n with n * g >= 2^_BITS before it does any work.  Each P_n,
-    P_0 included, is stored by _store as one pair (keys, blob) in the
+    all at the one width _BITS.  With g = max deg e_k, deg P_m <= m * g by
+    induction (deg e_k P_{n-k} <= g + (n - k) * g), so no exponent of P_n or
+    of the products behind it exceeds n * g, and extend refuses an n above
+    N_DESK_BOUND, for which _BITS is sized, before it does any work.  Each
+    P_n, P_0 included, is stored by _store as one pair (keys, blob) in the
     insertion order the recurrence made: the packed keys in an array of
-    4-byte ints (each below 2^30, two 15-bit fields), which holds no int
-    object, and the coefficients pickled into one bytes object.  F_n's
-    coefficients are mostly ints of several 30-bit digits, which as int
-    objects cost about three times their pickled bytes.
+    4-byte ints (two _BITS-bit fields), which holds no int object, and the
+    coefficients pickled into one bytes object.  F_n's coefficients are
+    mostly ints of several 30-bit digits, which as int objects cost about
+    three times their pickled bytes.
 
     Only one family's windows are live, in `live`: those of the family
     extended last.  Extending another family drops them and rebuilds its
@@ -180,11 +186,8 @@ class _Cache:
                 self.stored[tag].append([_store({0: len(es)})])
 
     def extend(self, tag: str, n: int):
-        if n > _MAX_N[tag]:
-            raise ValueError(
-                f"fold({tag!r}, {n}) exceeds {_MAX_N[tag]}, the largest n whose "
-                f"exponents fit the {_BITS}-bit packed fields"
-            )
+        if n > N_DESK_BOUND:
+            raise ValueError(f"fold({tag!r}, {n}) exceeds the desk bound {N_DESK_BOUND}")
         stored = self.stored[tag]
         with self.lock:
             if len(stored[-1]) > n:
@@ -215,8 +218,7 @@ def fold(tag: str, n: int) -> PolyMap2:
 
     Every call returns fresh Polys built from the cache's stored pairs, so
     a caller that changes a returned Poly's terms leaves the cache as it was.
-    An n above the family's packed bound (a2 32,767, b2 16,383, g2 10,922)
-    raises ValueError at once.
+    An n above N_DESK_BOUND raises ValueError at once.
     """
     tag = normalize_tag(tag)
     if type(n) is not int:

@@ -4,16 +4,18 @@ A Poly is an ordered variable context plus a dict mapping exponent tuples to
 nonzero coefficients.  Coefficients are plain ints / Fractions whenever they
 lie on the rational line and CycloElem otherwise; the two kinds mix freely
 (see cyclo.py), and anything inexact, such as a float, is rejected with
-TypeError.  Values are immutable after construction, so they can be shared
-between threads and memo caches without copying.  Arithmetic runs on the
-term-merge kernels in backend.py.  Substitution comes in two shapes:
-`substitute` maps every context variable to an image, possibly in a new
-context (one recursive Horner scheme for every number of variables), and
-`substitute_var` replaces one variable within the same context and leaves
-a polynomial that does not contain it untouched.  `substitute` packs the
-images once, at the width `backend.field_bits` gives for its degree bound,
-runs the power table and every Horner step on packed monomials, and unpacks
-the result once; `Poly.terms` always keeps exponent tuples.
+TypeError.  `terms` is a plain dict: no method changes it after
+construction, but a caller can, and `substitute_var` may return its operand
+itself, so code that keeps Polys for other callers hands out fresh ones, as
+`folding.fold` does.  Arithmetic runs on the term-merge kernels in
+backend.py.  Substitution comes in two shapes: `substitute` maps every
+context variable to an image, possibly in a new context (one recursive
+Horner scheme for every number of variables), and `substitute_var` replaces
+one variable within the same context and leaves a polynomial that does not
+contain it untouched.  `substitute` packs the images once, at fields of the
+bit length of its degree bound, runs the power table and every Horner step
+on packed monomials, and unpacks the result once; `Poly.terms` always keeps
+exponent tuples.
 
 Coefficients are kept in the canonical form that cyclo.py makes: a value
 on the rational line is a plain int or Fraction, never a CycloElem.  Ring
@@ -242,7 +244,7 @@ class Poly:
             return Poly(target, dict(self.terms), _internal=True)
         # a term of total degree d maps to a product of d images, so no
         # exponent in the Horner scheme exceeds deg(self) * max image degree
-        w = field_bits(len(target), self.degree() * max(0, *(p.degree() for p in imgs)))
+        w = field_bits(self.degree() * max(0, *(p.degree() for p in imgs)))
         # the largest exponent of each variable; _subst never reads the
         # image of a variable that does not occur, so that one stays unpacked
         tops = list(map(max, zip(*self.terms)))

@@ -16,16 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cyclo import coef_div
-from .folding import compose, fold_xy, normalize_tag
+from .folding import N_DESK_BOUND, compose, fold_xy, normalize_tag
 from .poly import XY, Poly, PolyMap2
-
-# Largest map index n the command line accepts (gen, proj, aut, oracle), and
-# so the bound degree_growth puts on n^m.
-# Generation cost grows steeply with n: on a 2-core host, from a cold cache,
-# fold(tag, 200) takes 0.6 s for a2, 3.8 s for b2 and 19 s for g2, and
-# fold("a2", 700) takes about 25 s.  The benchmark's `generate` workload builds
-# every a2 map up to n = 200, so the bound may not go below 200.
-N_DESK_BOUND = 200
 
 
 @dataclass

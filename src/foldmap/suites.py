@@ -15,6 +15,7 @@ from . import automorphism, leading, projective, weyl
 from .folding import (
     FAMILY_TAGS,
     HALF_FOLDS,
+    N_DESK_BOUND,
     compose,
     first_difference,
     fold,
@@ -34,8 +35,8 @@ SMALLEST_MAX_N = {"commute": 2, "leading": 1}
 # F_{max_n^2} and leading builds F_{max_n}, and both stay within the desk
 # bound on n.
 LARGEST_MAX_N = {
-    "commute": isqrt(projective.N_DESK_BOUND),
-    "leading": projective.N_DESK_BOUND,
+    "commute": isqrt(N_DESK_BOUND),
+    "leading": N_DESK_BOUND,
 }
 
 DEFAULTS = {

@@ -72,6 +72,13 @@ def test_proj_half_fold(capsys):
     assert obj["family"] == "bsqrt2" and obj["n"] is None and obj["degree"] == 2
 
 
+def test_gen_and_proj_take_the_families_then_the_half_folds():
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    for name in ("gen", "proj"):
+        (family,) = [a for a in commands.choices[name]._actions if a.dest == "family"]
+        assert family.choices == ("a2", "b2", "g2", "bsqrt2", "gsqrt3")
+
+
 def test_gen_xy_model(capsys):
     code, out, _ = run(capsys, "gen", "--family", "a2", "--n", "2", "--model", "xy")
     assert code == 0

@@ -8,10 +8,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from foldmap import folding
-from foldmap.backend import pack
+from foldmap import folding, poly
+from foldmap.backend import field_bits, pack
 from foldmap.cyclo import CycloElem
 from foldmap.folding import (
+    N_DESK_BOUND,
     compose,
     first_difference,
     fold,
@@ -146,6 +147,10 @@ def test_half_folds():
     assert compose(gs, gs) == fold("g2", 3)
     with pytest.raises(ValueError):
         half_fold("c_sqrt5")
+    # a kind is a HALF_FOLDS key, in any case, with or without "_" or "-"
+    assert half_fold("B-SQRT2") == bs
+    with pytest.raises(ValueError):
+        half_fold("bsqrt")
 
 
 def test_compose_identity_and_model_check():
@@ -212,20 +217,40 @@ def test_fresh_cache_stores_the_module_caches_pairs(tag):
             assert pair == ps[n], (tag, n)
 
 
-@pytest.mark.parametrize("tag, top", [("a2", 32767), ("b2", 16383), ("g2", 10922)])
-def test_fold_refuses_n_past_the_packed_fields_at_once(tag, top, monkeypatch):
-    # n * max deg e_k < 2^15 is the last n whose exponents fit 15-bit fields
-    assert folding._MAX_N[tag] == top
+@pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
+def test_fold_refuses_n_past_the_desk_bound_at_once(tag, monkeypatch):
     stored = [list(ps) for ps in folding._CACHE.stored[tag]]
-    monkeypatch.setattr(folding, "_power_sum", mock.Mock(side_effect=AssertionError))
-    with pytest.raises(ValueError, match=str(top)):
-        fold(tag, top + 1)
+    power_sum = mock.Mock(side_effect=AssertionError)
+    monkeypatch.setattr(folding, "_power_sum", power_sum)
+    with pytest.raises(ValueError, match=f"desk bound {N_DESK_BOUND}"):
+        fold(tag, N_DESK_BOUND + 1)
+    power_sum.assert_not_called()
     assert folding._CACHE.stored[tag] == stored
 
 
+def test_the_cache_packs_at_the_desk_bounds_width():
+    # g = 3 (g2's multipliers) is the largest e_k degree of any family
+    assert folding._BITS == field_bits(N_DESK_BOUND * 3) == 10
+
+
+def test_compose_packs_at_the_bit_length_of_its_degree_bound(monkeypatch):
+    widths = []
+
+    def spy(terms, w):
+        widths.append(w)
+        return pack(terms, w)
+
+    monkeypatch.setattr(poly, "pack", spy)
+    f8 = fold("g2", 8)
+    compose(f8, f8)
+    # each coordinate's degree times the larger image degree: 8 * 12 = 96 for
+    # the first (7 bits), 12 * 12 = 144 for the second (8 bits); each
+    # substitution packs both images
+    assert widths == [7, 7, 8, 8]
+
+
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
-def test_compose_shares_the_caches_exponent_tuples(tag):
-    # F_8 o F_8 = F_64, each decoded from packed terms by backend.unpack
+def test_compose_of_f8_with_itself_is_f64(tag):
     assert compose(fold(tag, 8), fold(tag, 8)) == fold(tag, 64)
 
 
@@ -257,7 +282,7 @@ def test_terms_round_trips_stored_coefficients(coefs):
 
 
 def test_stored_keys_fit_the_array():
-    # two 15-bit fields make a key below 2^30
+    # two _BITS-bit fields make a key below 2^(2 * _BITS)
     keys, _ = folding._CACHE.stored["a2"][0][0]
     assert keys.itemsize * 8 >= 2 * folding._BITS
 

@@ -241,15 +241,14 @@ def test_packed_fields_do_not_carry(k):
     assert got[(2 * top, 2 * top, 2 * top)] == 5
 
 
-def test_field_bits_fills_one_int_digit():
-    # two variables share one 30-bit digit until an exponent needs more
-    assert [field_bits(2, top) for top in (0, 1, 2**15 - 1, 2**15)] == [15, 15, 15, 16]
-    assert field_bits(2) == 15
+def test_field_bits_is_the_bit_length_of_the_top_exponent():
+    assert [field_bits(top) for top in (0, 1, 2, 5, 100, 2**15 - 1, 2**15)] == [
+        1, 1, 2, 3, 7, 15, 16,
+    ]
     top = 2**15 - 1
-    (key,) = pack({(top, top): 1}, field_bits(2, top))
+    (key,) = pack({(top, top): 1}, field_bits(top))
     assert key == 2**30 - 1
     assert unpack({key: 1}, 15, 2) == {(top, top): 1}
-    assert field_bits(8, 5) == 3 and field_bits(8, 100) == 7
 
 
 def test_integral_fraction_results_are_ints():
