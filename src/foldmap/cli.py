@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -63,8 +64,15 @@ def _get_map(family: str, n: int | None, model: str) -> PolyMap2:
 
 def _render_map(m: PolyMap2, fmt: str, n) -> str:
     if fmt == "json":
-        # to_json_obj builds a fresh tree with no cycle, so the check is waste
-        return json.dumps(m.to_json_obj(), check_circular=False)
+        # to_json_obj builds a fresh tree with no cycle, which refcounting
+        # frees, so neither the cyclic collector nor the check has work here
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return json.dumps(m.to_json_obj(), check_circular=False)
+        finally:
+            if enabled:
+                gc.enable()
     if fmt == "latex":
         index = n if n is not None else m.label
         return f"{index} & {m.first.to_latex()} & {m.second.to_latex()} \\\\"

@@ -14,11 +14,10 @@ per family, so a fresh fold(tag, n) costs one step beyond fold(tag, n-1),
 and n stops at the desk bound N_DESK_BOUND.  The recursion runs on packed
 monomials (see backend.py), at one field width for every family and n, over
 a window of the last K power sums, kept live for the family extended last
-only.  Each new P_n is stored at rest as a pair: its packed monomials in an
-array of machine ints and its coefficients pickled into one bytes object,
-so the cache holds neither a monomial nor a coefficient as an int object;
-fold builds a fresh Poly from the pair for every map it returns, unpacked
-to fresh exponent tuples.
+only.  Each new P_n is stored at rest as one bytes object, its packed dict
+pickled whole, so the cache holds neither a monomial nor a coefficient as an
+int object; fold builds a fresh Poly from it for every map it returns,
+unpacked to fresh exponent tuples.
 A2 is generated in the ZW model (z and z-bar as independent variables),
 which keeps the recursion free of conjugation bookkeeping; its second
 coordinate is always swap_conjugate of the first.
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-from array import array
 from dataclasses import dataclass
 
 from .backend import add_terms, field_bits, mul_terms, pack, unpack
@@ -133,21 +131,19 @@ _BITS = field_bits(N_DESK_BOUND * max(e.degree() for fam in FAMILIES.values()
                                       for es in fam.symmetric for e in es[:-1]))
 
 
-def _store(packed: dict) -> tuple:
-    """The pair (keys, blob) that keeps a packed power sum at rest: its
-    packed monomials, in insertion order, as one array of machine ints, and
-    its coefficients pickled into one bytes object."""
-    # The blobs are made and read only inside this process, from coefficients
+def _store(packed: dict) -> bytes:
+    """A packed power sum at rest: the dict pickled whole, which keeps its
+    insertion order."""
+    # The blobs are made and read only inside this process, from power sums
     # the recurrence computed, so none of them is untrusted input to
     # pickle.loads.  Pickle writes an int the same way whatever object holds
     # it, so equal power sums store equal bytes.
-    return array("I", packed), pickle.dumps(tuple(packed.values()), protocol=5)
+    return pickle.dumps(packed, protocol=5)
 
 
-def _packed(pair: tuple) -> dict:
-    """The packed terms of a stored pair, in stored order."""
-    keys, blob = pair
-    return dict(zip(keys, pickle.loads(blob)))
+def _packed(blob: bytes) -> dict:
+    """The packed terms of a stored power sum, in stored order."""
+    return pickle.loads(blob)
 
 
 class _Cache:
@@ -159,19 +155,17 @@ class _Cache:
     induction (deg e_k P_{n-k} <= g + (n - k) * g), so no exponent of P_n or
     of the products behind it exceeds n * g, and extend refuses an n above
     N_DESK_BOUND, for which _BITS is sized, before it does any work.  Each
-    P_n, P_0 included, is stored by _store as one pair (keys, blob) in the
-    insertion order the recurrence made: the packed keys in an array of
-    4-byte ints (two _BITS-bit fields), which holds no int object, and the
-    coefficients pickled into one bytes object.  F_n's coefficients are
-    mostly ints of several 30-bit digits, which as int objects cost about
-    three times their pickled bytes.
+    P_n, P_0 included, is stored by _store as one bytes object, its packed
+    dict pickled in the insertion order the recurrence made, and read back
+    by _packed.  F_n's coefficients are mostly ints of several 30-bit
+    digits, which as int objects cost about three times their pickled bytes.
 
     Only one family's windows are live, in `live`: those of the family
     extended last.  Extending another family drops them and rebuilds its
-    windows from its last K stored pairs, with the same keys, values and
-    insertion order the recurrence left, so the power sums that follow are
-    the same bytes.  Every command uses one family, and the suites run their
-    families one after another, so a rebuild is rare.
+    windows from its last K stored power sums, with the same keys, values
+    and insertion order the recurrence left, so the power sums that follow
+    are the same bytes.  Every command uses one family, and the suites run
+    their families one after another, so a rebuild is rare.
     """
 
     def __init__(self):
@@ -193,7 +187,7 @@ class _Cache:
             if len(stored[-1]) > n:
                 return
             if tag not in self.live:
-                self.live = {tag: [[_packed(pair) for pair in ps[-len(es):]]
+                self.live = {tag: [[_packed(blob) for blob in ps[-len(es):]]
                                    for es, ps in zip(self.es[tag], stored)]}
             while len(stored[-1]) <= n:
                 m = len(stored[-1])
@@ -208,16 +202,17 @@ class _Cache:
 _CACHE = _Cache()
 
 
-def _poly(vars: tuple, pair: tuple) -> Poly:
-    """A fresh Poly on the stored pair (keys, blob), in stored order."""
-    return Poly(vars, unpack(_packed(pair), _BITS, len(vars)), _internal=True)
+def _poly(vars: tuple, blob: bytes) -> Poly:
+    """A fresh Poly on a stored power sum, in stored order."""
+    return Poly(vars, unpack(_packed(blob), _BITS, len(vars)), _internal=True)
 
 
 def fold(tag: str, n: int) -> PolyMap2:
     """The n-th folding map of the family, in the family's native model.
 
-    Every call returns fresh Polys built from the cache's stored pairs, so
-    a caller that changes a returned Poly's terms leaves the cache as it was.
+    Every call returns fresh Polys built from the cache's stored power
+    sums, so a caller that changes a returned Poly's terms leaves the cache
+    as it was.
     An n above N_DESK_BOUND raises ValueError at once.
     """
     tag = normalize_tag(tag)

@@ -76,6 +76,8 @@ class Poly:
                 raise ValueError(
                     f"exponent vector {exps} does not match context {self.vars}"
                 )
+            if any(type(e) is not int for e in exps):
+                raise TypeError(f"exponent vector {exps} has an exponent that is not an int")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             coef = _exact_coef(coef)

@@ -1,5 +1,6 @@
 """CLI surfaces: subcommands, formats, exit codes, reproducibility."""
 
+import gc
 import json
 
 import pytest
@@ -40,6 +41,28 @@ def test_gen_json_is_the_plain_dump(capsys, argv, want):
     # gen skips json.dumps' cycle check; the bytes must not change
     code, out, _ = run(capsys, "gen", *argv)
     assert code == 0 and out == json.dumps(want().to_json_obj()) + "\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gen_json_pauses_the_collector_and_restores_its_state(capsys, monkeypatch, enabled):
+    want = json.dumps(fold("b2", 5).to_json_obj()) + "\n"
+    seen = []
+    to_json_obj = PolyMap2.to_json_obj
+
+    def spy(m):
+        seen.append(gc.isenabled())
+        return to_json_obj(m)
+
+    monkeypatch.setattr(PolyMap2, "to_json_obj", spy)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run(capsys, "gen", "--family", "b2", "--n", "5") == (0, want, "")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    # the map's json tree is built with the collector paused
+    assert seen == [False]
 
 
 def test_gen_latex_row(capsys):

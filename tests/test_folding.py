@@ -2,7 +2,6 @@
 
 import gc
 import pickle
-from array import array
 from unittest import mock
 
 import pytest
@@ -206,15 +205,16 @@ def test_fold_rejects_non_int_n(bad):
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
-def test_fresh_cache_stores_the_module_caches_pairs(tag):
+def test_fresh_cache_stores_the_module_caches_power_sums(tag):
     fresh = folding._Cache()
     fresh.extend(tag, 40)
     fold(tag, 40)
     for ps_fresh, ps in zip(fresh.stored[tag], folding._CACHE.stored[tag], strict=True):
         assert len(ps_fresh) == 41
-        # each stored pair is (packed keys, pickled coefficients) in insertion order
-        for n, pair in enumerate(ps_fresh):
-            assert pair == ps[n], (tag, n)
+        # each stored power sum is its packed dict pickled in insertion order,
+        # so equal power sums are equal bytes
+        for n, blob in enumerate(ps_fresh):
+            assert blob == ps[n], (tag, n)
 
 
 @pytest.mark.parametrize("tag", ["a2", "b2", "g2"])
@@ -271,36 +271,27 @@ _STORED_INTS = st.one_of(
 def test_terms_round_trips_stored_coefficients(coefs):
     monomials = tuple((i, len(coefs) - i) for i in range(len(coefs)))
     packed = pack(dict(zip(monomials, coefs)), folding._BITS)
-    pair = folding._store(packed)
-    assert type(pair[0]) is array and list(pair[0]) == list(packed)
-    assert type(pair[1]) is bytes
-    terms = folding._poly(XY_VARS, pair).terms
+    blob = folding._store(packed)
+    assert type(blob) is bytes
+    terms = folding._poly(XY_VARS, blob).terms
     # the exponent tuples and coefficients in stored order
     assert list(terms) == list(monomials)
     assert list(terms.values()) == coefs
     assert all(type(c) is int for c in terms.values())
 
 
-def test_stored_keys_fit_the_array():
-    # two _BITS-bit fields make a key below 2^(2 * _BITS)
-    keys, _ = folding._CACHE.stored["a2"][0][0]
-    assert keys.itemsize * 8 >= 2 * folding._BITS
-
-
 def test_cache_holds_no_coefficient_ints():
     cache = folding._Cache()
     cache.extend("b2", 60)
     stored = cache.stored["b2"]
-    assert all(type(keys) is array and type(blob) is bytes for ps in stored for keys, blob in ps)
+    assert all(type(blob) is bytes for ps in stored for blob in ps)
     reachable, stack = {}, [stored]
     while stack:
         obj = stack.pop()
-        # an array's referent is its type, a heap type, which reaches the
-        # whole interpreter; no type object is part of the cache
-        if id(obj) not in reachable and not isinstance(obj, type):
+        if id(obj) not in reachable:
             reachable[id(obj)] = obj
             stack.extend(gc.get_referents(obj))
-    assert {type(o) for o in reachable.values()} == {list, tuple, array, bytes}
+    assert {type(o) for o in reachable.values()} == {list, bytes}
     # monomials and coefficients alike are kept as raw bytes
     assert not [o for o in reachable.values() if type(o) is int]
     # F_60's coefficients alone have more distinct values than CPython's
@@ -335,8 +326,23 @@ def test_the_cache_keeps_the_last_familys_windows_only():
     (window,) = cache.live["a2"]
     assert len(window) == 3
     # the recurrence's last three power sums, on packed keys
-    for p, (keys, blob) in zip(window, cache.stored["a2"][0][-3:], strict=True):
-        assert list(p.items()) == list(zip(keys, pickle.loads(blob)))
+    for p, blob in zip(window, cache.stored["a2"][0][-3:], strict=True):
+        assert list(p.items()) == list(pickle.loads(blob).items())
+
+
+def test_each_stored_power_sum_is_one_pickled_packed_dict():
+    cache = folding._Cache()
+    cache.extend("a2", 30)
+    (stored,) = cache.stored["a2"]
+    assert all(type(blob) is bytes for blob in stored)
+    # P_0 is the orbit size K on the constant monomial, packed to key 0
+    assert pickle.loads(stored[0]) == {0: 3}
+    # the last three read back item by item, in the order the recurrence
+    # left them in its live window
+    (window,) = cache.live["a2"]
+    for p, blob in zip(window, stored[-3:], strict=True):
+        terms = pickle.loads(blob)
+        assert type(terms) is dict and list(terms.items()) == list(p.items())
 
 
 def test_commute_witness_on_failure():

@@ -54,6 +54,19 @@ def test_context_mismatch():
         Poly(XY_VARS, {(1,): 1})  # exponent arity mismatch
 
 
+@pytest.mark.parametrize("exps", [(1.5, 0), (True, 0), (0, 2.0)])
+def test_exponents_must_be_ints(exps):
+    with pytest.raises(TypeError):
+        Poly(XY_VARS, {exps: 1})
+
+
+def test_json_exponents_must_be_ints():
+    obj = X.to_json_obj()
+    obj["terms"][0]["e"] = [0.5, 1]
+    with pytest.raises(TypeError):
+        Poly.from_json_obj(obj)
+
+
 def test_coeff():
     g4 = fold("g2", 4)
     assert g4.second.coeff((6, 0)) == 2
